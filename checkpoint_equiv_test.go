@@ -16,7 +16,7 @@ package dpa
 //     byte-identical to each other.
 //
 // The matrix runs the three paper applications (Barnes-Hut, FMM, EM3D) so
-// every runtime subsystem the snapshot covers — fused M/D tables, adaptive
+// every runtime subsystem the snapshot covers — fused M/D tables, planner
 // controller state, reliability windows, crash state — is exercised.
 
 import (
@@ -57,16 +57,16 @@ func ckApps() []ckApp {
 			run, _ := em3d.RunIters(mcfg, driver.DPASpec(8), em3d.DefaultParams(160), 2)
 			return run
 		}},
-		// Mid-run-with-priors: two iterations are four phases, so the
-		// mid-makespan boundary lands in a later phase with non-empty prior
-		// tables and warm planner state — the snapshot's "priors" section and
-		// the planner's prior fingerprint must survive the whole matrix
-		// (round trip, cross-engine byte-identity, verify + continuation).
-		// The graph is bigger than the plain em3d cell's because the planner
-		// shortens phases: each phase must still cross ckFaults' CrashAt so
-		// the faulty cells keep their crash schedule active.
+		// Mid-run-with-priors: two planned iterations are four phases, so the
+		// mid-makespan boundary lands in a later phase with non-empty priors
+		// and warm planner state — the snapshot's "priors" section and the
+		// planner's prior fingerprint must survive the whole matrix (round
+		// trip, cross-engine byte-identity, verify + continuation). The graph
+		// is bigger than the plain em3d cell's because the planner shortens
+		// phases: each phase must still cross ckFaults' CrashAt so the faulty
+		// cells keep their crash schedule active.
 		{"em3d-prior", func(mcfg machine.Config) stats.Run {
-			run, _ := em3d.RunIters(mcfg, driver.DPASpec(8, driver.WithShape()), em3d.DefaultParams(320), 2)
+			run, _ := em3d.RunIters(mcfg, driver.DPASpec(8, driver.WithPlanner()), em3d.DefaultParams(320), 2)
 			return run
 		}},
 	}

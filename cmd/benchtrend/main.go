@@ -37,8 +37,8 @@ type report struct {
 
 // workload identifies the simulated configuration a snapshot measured;
 // only snapshots with equal workloads are comparable. The runtime
-// feature-flag set is part of the identity: a planner run and a prior+shape
-// run simulate different schedules, so their host costs must not be lined
+// feature-flag set is part of the identity: a planner run and a static run
+// simulate different schedules, so their host costs must not be lined
 // up as one trend.
 func (r report) workload() string {
 	key := fmt.Sprintf("%s nodes=%d bodies=%d %s", r.App, r.Nodes, r.Bodies, r.Runtime)

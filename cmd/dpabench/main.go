@@ -7,17 +7,12 @@
 //	dpabench -app bh|fmm|em3d|bfs|pagerank|cc -nodes 16 -runtime dpa|caching|blocking \
 //	         -engine sequential|parallel [-workers 8] [-nosteal] [-la-override 0] \
 //	         -bodies 16384 -strip 50 -agg 16 [-nopipe] [-steps 4] [-terms 29] \
-//	         [-adaptive] [-planner] [-prior] [-shape] [-backend mdtable|cpma] \
-//	         [-vertices 16384] [-degree 8] [-graph rmat|uniform]
+//	         [-planner] [-vertices 16384] [-degree 8] [-graph rmat|uniform]
 //
 // The graph-analytics apps (bfs, pagerank, cc) run over a partitioned graph
 // generated deterministically from -seed: -vertices and -degree size it,
 // -graph picks the edge distribution (rmat or uniform), and -iters sets the
-// PageRank iteration count (BFS and CC run to completion). -backend selects
-// the DPA renamed-copy store for any app: mdtable (the paper's fused M/D
-// map) or cpma (the batch-merged compressed packed-memory array), letting
-// the same simulated traffic race the pointer-based layout against the
-// pointer-free one.
+// PageRank iteration count (BFS and CC run to completion).
 //
 // The parallel engine is tuned with -workers (host workers, 0 = one per
 // core capped at the node count), -nosteal (pin each shard to its owner),
@@ -70,7 +65,6 @@ import (
 	"testing"
 
 	"dpa/internal/bh"
-	"dpa/internal/core"
 	"dpa/internal/driver"
 	"dpa/internal/em3d"
 	"dpa/internal/fmm"
@@ -95,16 +89,12 @@ func main() {
 	steps := flag.Int("steps", 1, "Barnes-Hut steps")
 	terms := flag.Int("terms", 29, "FMM expansion terms")
 	strip := flag.Int("strip", 50, "DPA strip size (0 = one strip)")
-	adaptive := flag.Bool("adaptive", false, "enable DPA's adaptive scheduling layer (strip control, owner-major scheduling, RTT-derived aggregation)")
-	planner := flag.Bool("planner", false, "enable DPA's predictive communication planner (cost-model strip sizing, reuse-region pinning, histogram-derived aggregation limits)")
-	prior := flag.Bool("prior", false, "enable the planner's cross-phase reuse prior (implies -planner; multi-phase apps warm-start repeated phases from measured history)")
-	shape := flag.Bool("shape", false, "enable affinity-shaped tiles (implies -prior; planned strips reorder iterations into owner-major runs)")
-	backend := flag.String("backend", "", "DPA renamed-copy store: mdtable (default) or cpma (compressed packed-memory array)")
+	planner := flag.Bool("planner", false, "enable DPA's predictive communication planner (cost-model strip sizing, reuse-region pinning, histogram-derived aggregation limits, cross-phase batching)")
 	vertices := flag.Int("vertices", 16384, "graph apps: vertex count")
 	degree := flag.Int("degree", 8, "graph apps: average degree")
 	graphKind := flag.String("graph", "rmat", "graph apps: edge distribution, rmat or uniform")
 	source := flag.Int("source", 0, "bfs: source vertex")
-	strips := flag.String("strips", "", "comma-separated strip sizes: run a static sweep plus adaptive and planner rows and print a comparison table")
+	strips := flag.String("strips", "", "comma-separated strip sizes: run a static sweep plus a planner row and print a comparison table")
 	agg := flag.Int("agg", 16, "DPA aggregation limit (1 disables, 0 unlimited)")
 	noPipe := flag.Bool("nopipe", false, "disable DPA message pipelining")
 	seed := flag.Int64("seed", 42, "workload seed")
@@ -156,20 +146,8 @@ func main() {
 	switch *rtName {
 	case "dpa":
 		opts := []driver.SpecOption{driver.WithAggLimit(*agg), driver.WithPipeline(!*noPipe)}
-		if *adaptive {
-			opts = append(opts, driver.WithAdaptive())
-		}
 		if *planner {
 			opts = append(opts, driver.WithPlanner())
-		}
-		if *prior {
-			opts = append(opts, driver.WithPrior())
-		}
-		if *shape {
-			opts = append(opts, driver.WithShape())
-		}
-		if *backend != "" {
-			opts = append(opts, driver.WithBackend(*backend))
 		}
 		spec = driver.DPASpec(*strip, opts...)
 	case "caching":
@@ -418,9 +396,9 @@ func writeMemProfile(path string) {
 	writeOut(path, pprof.WriteHeapProfile)
 }
 
-// stripSweep runs the app once per static strip size plus once adaptively
-// and prints one comparison row each — the quick command-line version of the
-// harness's X6 experiment.
+// stripSweep runs the app once per static strip size plus once under the
+// planner and prints one comparison row each — the quick command-line
+// version of the harness's X7 experiment.
 func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) stats.Run,
 	strips string, agg int, pipeline bool, app string, nodes int) {
 
@@ -447,30 +425,14 @@ func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) s
 			best = r.Makespan
 		}
 	}
-	ar := row(driver.DPASpec(50, append(opts, driver.WithAdaptive())...))
-	if len(ar.Adapt) > 0 {
-		fmt.Printf("adaptive  final strip %d (%d grows, %d shrinks)\n",
-			ar.RT.FinalStrip, ar.RT.StripGrows, ar.RT.StripShrinks)
-	}
 	pr := row(driver.DPASpec(50, append(opts, driver.WithPlanner())...))
 	if pr.RT.PlanStrips > 0 {
 		fmt.Printf("planner   %d strips planned, %d mispredicted, final strip %d\n",
 			pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.FinalStrip)
 	}
-	ps := row(driver.DPASpec(50, append(opts, driver.WithShape())...))
-	if ps.RT.PlanPriorHits > 0 {
-		fmt.Printf("prior+shape %d prior hits, %d shaped runs, %.1f KB prior tables\n",
-			ps.RT.PlanPriorHits, ps.RT.ShapedRuns, float64(ps.RT.PriorBytes)/1024)
-	}
 	if best > 0 {
-		fmt.Printf("adaptive vs best static: %+.2f%%\n",
-			(float64(ar.Makespan)/float64(best)-1)*100)
 		fmt.Printf("planner  vs best static: %+.2f%%\n",
 			(float64(pr.Makespan)/float64(best)-1)*100)
-		fmt.Printf("planner  vs adaptive:    %+.2f%%\n",
-			(float64(pr.Makespan)/float64(ar.Makespan)-1)*100)
-		fmt.Printf("prior+shape vs planner:  %+.2f%%\n",
-			(float64(ps.Makespan)/float64(pr.Makespan)-1)*100)
 	}
 }
 
@@ -489,33 +451,21 @@ type hostBenchReport struct {
 
 // specFlags renders the runtime feature-flag set a benchmark ran under, so
 // bench records identify their configuration and benchtrend never compares
-// (say) a planner run against a prior+shape run just because both said "dpa".
+// (say) a planner run against a static run just because both said "dpa".
 func specFlags(spec driver.Spec) string {
 	if spec.Kind != driver.DPA {
 		return ""
 	}
 	c := spec.Core
 	var fs []string
-	if c.Adaptive {
-		fs = append(fs, "adaptive")
-	}
 	if c.Planner {
 		fs = append(fs, "planner")
-	}
-	if c.Prior {
-		fs = append(fs, "prior")
-	}
-	if c.Shape {
-		fs = append(fs, "shape")
 	}
 	if !c.Pipeline {
 		fs = append(fs, "nopipe")
 	}
 	if c.LIFO {
 		fs = append(fs, "lifo")
-	}
-	if c.Backend == core.BackendCPMA {
-		fs = append(fs, "cpma")
 	}
 	return strings.Join(fs, ",")
 }

@@ -54,10 +54,6 @@ type (
 	Endpoint = fm.EP
 	// Time is a duration or instant in simulated cycles.
 	Time = sim.Time
-	// EngineKind is the legacy enum naming a simulation engine
-	// (SequentialKind or ParallelKind). New code should use the first-class
-	// Engine values built by Sequential() and Parallel(...) instead.
-	EngineKind = sim.EngineKind
 	// Engine is a first-class engine selection: which simulation engine
 	// drives a phase plus its host-performance tuning. Build one with
 	// Sequential or Parallel and pass it to RunPhase via WithEngineValue.
@@ -66,15 +62,6 @@ type (
 	// EngineOption tunes an Engine built by Parallel (Workers, Lookahead,
 	// Stealing).
 	EngineOption = driver.EngineOption
-)
-
-// The legacy engine-kind constants.
-//
-// Deprecated: use the Sequential() and Parallel(...) constructors, which
-// return first-class Engine values carrying per-engine tuning.
-const (
-	SequentialKind = sim.Sequential
-	ParallelKind   = sim.Parallel
 )
 
 // Sequential returns the sequential engine: one simulated node at a time, in
@@ -87,8 +74,8 @@ func Sequential() Engine { return driver.Sequential() }
 // within conservative lookahead windows; results stay bit-identical to
 // Sequential. Tune it with Workers, Lookahead, and Stealing:
 //
-//	dpa.RunPhase(cfg, space, spec, body,
-//	    dpa.WithEngineValue(dpa.Parallel(dpa.Workers(8), dpa.Stealing(true))))
+//	eng := dpa.Parallel(dpa.Workers(8), dpa.Stealing(true))
+//	dpa.RunPhase(cfg, space, spec, body, dpa.WithEngineValue(eng))
 func Parallel(opts ...EngineOption) Engine { return driver.Parallel(opts...) }
 
 // Workers sets the parallel engine's worker count: 0 (the default) means
@@ -103,6 +90,11 @@ func Lookahead(t Time) EngineOption { return driver.Lookahead(t) }
 // Stealing enables or disables cross-shard work stealing (default on).
 // Stealing only moves host work between workers; it never affects results.
 func Stealing(on bool) EngineOption { return driver.Stealing(on) }
+
+// ErrBadSpec is the sentinel matched by errors.Is when RunPhase rejects a
+// Spec (negative strip, Planner with LIFO, ...); the returned run simulates
+// nothing and carries the reason in its Err.
+var ErrBadSpec = driver.ErrBadSpec
 
 // ErrBadEngine is the sentinel matched by errors.Is for rejected engine
 // tuning (worker count out of [1, nodes], bad lookahead override).
@@ -238,65 +230,20 @@ func WithPollEvery(n int) SpecOption { return driver.WithPollEvery(n) }
 // WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
 func WithCacheCapacity(n int) SpecOption { return driver.WithCacheCapacity(n) }
 
-// WithAdaptive enables DPA's adaptive scheduling layer: online strip-size
-// control, owner-major ready-queue scheduling, and RTT-derived per-destination
-// aggregation limits. The strip passed to DPASpec becomes the initial strip.
-func WithAdaptive() SpecOption { return driver.WithAdaptive() }
-
 // WithPlanner enables DPA's predictive communication planner: a closed-form
 // cost model chooses each strip's size and per-destination aggregation
 // limits at the boundary before the strip runs, and renamed copies are
 // pinned for exactly their reuse region (refetches become structurally
-// zero under the memory budget). Implies the adaptive layer's owner-major
-// machinery; the bounded reactive controller corrects only when the model
-// mispredicts. Mutually exclusive with WithLIFO.
+// zero under the memory budget). Ready threads run owner-major; a bounded
+// reactive controller corrects only when the model mispredicts, and a
+// repeated phase of a multi-phase application batches its first requests
+// from the previous phase's per-owner fetch totals. Mutually exclusive with
+// WithLIFO.
 func WithPlanner() SpecOption { return driver.WithPlanner() }
 
-// WithPrior enables the planner's cross-phase reuse prior (implies
-// WithPlanner): repeated phases of a multi-phase run are planned from the
-// previous phase's measured signals — warm-started first strip, pre-sized
-// aggregation batches, reuse-gap retention — instead of the cold machine
-// model. The prior only takes effect when the runner supplies a PriorStore
-// via WithPriors.
-func WithPrior() SpecOption { return driver.WithPrior() }
-
-// WithShape enables affinity-shaped tiles (implies WithPrior): within each
-// planned strip, top-level iterations are reordered into owner-major runs
-// chosen from the prior's recorded affinity, so each owner's aggregation
-// batch fills in contiguous runs.
-func WithShape() SpecOption { return driver.WithShape() }
-
-// Backend names accepted by WithBackend.
-const (
-	BackendMDTable = core.BackendMDTable
-	BackendCPMA    = core.BackendCPMA
-)
-
-// WithBackend selects the DPA runtime's renamed-copy store: BackendMDTable
-// (the paper's fused M/D map, the default) or BackendCPMA (a batch-merged
-// compressed packed-memory array with no per-copy pointers). The fetch
-// protocol and the determinism contract are identical under both backends;
-// only the copy store and its modeled memory footprint differ.
-func WithBackend(name string) SpecOption { return driver.WithBackend(name) }
-
-// PriorStore carries the planner's cross-phase reuse priors across the phase
-// boundaries of one multi-phase run; see NewPriorStore and WithPriors.
-type PriorStore = driver.PriorStore
-
-// NewPriorStore returns an empty cross-phase prior store. One store should
-// span exactly one multi-phase run.
-func NewPriorStore() *PriorStore { return driver.NewPriorStore() }
-
-// WithPriors hands the phase a cross-phase prior store keyed by the given
-// phase kind. A no-op unless the spec is DPA with the prior enabled, so
-// runners can pass their store unconditionally.
-func WithPriors(store *PriorStore, kind string) RunOption {
-	return driver.WithPriors(store, kind)
-}
-
-// WithStripBounds sets the adaptive strip controller's bounds: strip sizes
-// stay in [min, max] and a strip whose renamed copies exceed memBudget bytes
-// triggers a shrink. Zero values keep the defaults.
+// WithStripBounds sets the planner's bounds: strip sizes stay in [min, max]
+// and renamed copies are budgeted to memBudget bytes. Zero values keep the
+// defaults.
 func WithStripBounds(min, max int, memBudget int64) SpecOption {
 	return driver.WithStripBounds(min, max, memBudget)
 }
@@ -323,16 +270,8 @@ func BlockingSpec(opts ...SpecOption) Spec { return driver.BlockingSpec(opts...)
 type RunOption = driver.RunOption
 
 // WithEngineValue selects the engine driving the phase as a first-class
-// value: dpa.Sequential() or dpa.Parallel(opts...). This is the primary
-// engine-selection option.
+// value: dpa.Sequential() or dpa.Parallel(opts...).
 func WithEngineValue(e Engine) RunOption { return driver.WithEngineValue(e) }
-
-// WithEngine selects the simulation engine by legacy kind (SequentialKind or
-// ParallelKind) with default tuning.
-//
-// Deprecated: use WithEngineValue with Sequential() or Parallel(...), which
-// carries per-engine tuning (worker count, lookahead, stealing).
-func WithEngine(kind EngineKind) RunOption { return driver.WithEngine(kind) }
 
 // WithTrace enables activity-timeline recording with the given bin width in
 // cycles.
@@ -357,7 +296,8 @@ func DefaultFaults(seed uint64, dropRate float64) FaultConfig {
 // RunPhase executes one SPMD phase: body runs on every simulated node with
 // its runtime instance; a barrier closes the phase. It returns per-node
 // cost breakdowns and merged runtime counters. Options select the engine,
-// enable tracing, or cross-validate the two engines.
+// enable tracing, or cross-validate the two engines. An invalid spec
+// returns a run whose Err wraps ErrBadSpec.
 func RunPhase(mcfg MachineConfig, space *Space, spec Spec,
 	body func(rt Runtime, ep *Endpoint, nd *Node), opts ...RunOption) RunStats {
 	return driver.RunPhase(mcfg, space, spec, body, opts...)

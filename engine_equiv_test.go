@@ -6,6 +6,7 @@ package dpa
 // design rests on (see DESIGN.md).
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -15,13 +16,11 @@ import (
 	"dpa/internal/tpart"
 )
 
-// equivSpecs are the runtime schemes the engines are compared under. The
-// prior+shape variant rides along everywhere: in RunPhase-only suites the
-// prior store is absent and the features must no-op identically; em3d.RunIters
-// carries a store, so the same spec exercises warm starts there.
+// equivSpecs are the runtime schemes the engines are compared under. In
+// RunPhase-only suites the planner runs without a history; em3d.RunIters
+// carries one, so the same spec exercises the cross-phase prior there.
 func equivSpecs() []Spec {
-	return []Spec{DPASpec(8), DPASpec(8, WithPlanner()), DPASpec(8, WithShape()),
-		CachingSpec(), BlockingSpec()}
+	return []Spec{DPASpec(8), DPASpec(8, WithPlanner()), CachingSpec(), BlockingSpec()}
 }
 
 // equivEngines returns the engine configurations every equivalence suite
@@ -174,12 +173,17 @@ func TestRunPhaseValidationOption(t *testing.T) {
 	}
 }
 
+// TestRunPhaseRejectsInvalidSpec: a spec Validate rejects (the planner's
+// owner-major queue cannot honour LIFO) returns a typed error instead of
+// panicking, and simulates nothing.
 func TestRunPhaseRejectsInvalidSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid spec")
-		}
-	}()
-	space := NewSpace(1)
-	RunPhase(DefaultT3D(1), space, DPASpec(4, WithAggLimit(-1)), func(rt Runtime, ep *Endpoint, nd *Node) {})
+	ran := false
+	run := RunPhase(DefaultT3D(1), NewSpace(1), DPASpec(4, WithPlanner(), WithLIFO()),
+		func(rt Runtime, ep *Endpoint, nd *Node) { ran = true })
+	if !errors.Is(run.Err, ErrBadSpec) {
+		t.Fatalf("Err = %v, want ErrBadSpec", run.Err)
+	}
+	if ran || run.Makespan != 0 {
+		t.Fatalf("rejected spec simulated anyway: ran=%v makespan=%d", ran, run.Makespan)
+	}
 }

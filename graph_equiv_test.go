@@ -2,18 +2,15 @@ package dpa
 
 // Graph-workload equivalence tests: the graph-analytics family (BFS,
 // PageRank, connected components — DESIGN.md §14) must obey the same
-// determinism contract as the paper's applications, on both renamed-copy
-// backends:
+// determinism contract as the paper's applications, static and planned:
 //
 //  1. Bit-identical statistics and results across the sequential and
 //     parallel engines, across repeats, fault-free and under seeded
 //     loss and loss+crash schedules.
-//  2. The mdtable and cpma backends share one simulated schedule: same
-//     makespan, same fetch traffic, same program results.
-//  3. A mid-run checkpoint captures, round-trips, and restore-verifies on
-//     both engines, with byte-identical snapshots — cpma store state
-//     included.
-//  4. With the cross-phase prior on (mdtable), refetches are exactly zero
+//  2. A mid-run checkpoint captures, round-trips, and restore-verifies on
+//     both engines, with byte-identical snapshots — the planner's
+//     cross-phase priors included.
+//  3. Under the planner (cross-phase prior on), refetches are exactly zero
 //     on every graph app.
 
 import (
@@ -32,7 +29,7 @@ import (
 const geNodes = 4
 
 // geParams is the shared test instance: small enough that the full
-// app × backend × fault × engine matrix stays fast, connected enough that
+// app × spec × fault × engine matrix stays fast, connected enough that
 // every app does real multi-phase work.
 func geParams() graph.Params {
 	prm := graph.DefaultParams(224)
@@ -71,9 +68,9 @@ func geApps() []geApp {
 	}
 }
 
-// geBackends returns the same static spec on both renamed-copy stores.
-func geBackends() []Spec {
-	return []Spec{DPASpec(8), DPASpec(8, WithBackend(BackendCPMA))}
+// geSpecs are the DPA variants of the matrix: static and planned.
+func geSpecs() []Spec {
+	return []Spec{DPASpec(8), DPASpec(8, WithPlanner())}
 }
 
 // geFaults names the fault regimes of the matrix. Graph phases are short
@@ -104,19 +101,16 @@ func geConfig(eng Engine, fc machine.FaultConfig) machine.Config {
 	return mcfg
 }
 
-// TestGraphEngineEquivalence sweeps app × backend × fault regime, and inside
+// TestGraphEngineEquivalence sweeps app × spec × fault regime, and inside
 // each cell runs every engine configuration plus a sequential repeat: run
-// tables and program results must be bit-identical throughout. In the
-// fault-free cells it additionally pins the backend contract: mdtable and
-// cpma agree on makespan, fetch counts, and results.
+// tables and program results must be bit-identical throughout.
 func TestGraphEngineEquivalence(t *testing.T) {
 	for _, app := range geApps() {
 		app := app
 		for _, fr := range geFaults() {
 			fr := fr
 			t.Run(app.name+"/"+fr.name, func(t *testing.T) {
-				var base []stats.Run // per backend, sequential baseline
-				for _, spec := range geBackends() {
+				for _, spec := range geSpecs() {
 					spec := spec
 					t.Run(spec.String(), func(t *testing.T) {
 						engines := append(equivEngines(geNodes), Sequential()) // repeat the baseline
@@ -143,23 +137,7 @@ func TestGraphEngineEquivalence(t *testing.T) {
 						} else if fr.name == "fault-free" && runs[0].Err != nil {
 							t.Fatalf("fault-free run degraded: %v", runs[0].Err)
 						}
-						if spec.Core.Backend == BackendCPMA && runs[0].RT.StoreBatches == 0 {
-							t.Fatalf("cpma run never exercised the store: %+v", runs[0].RT)
-						}
-						base = append(base, runs[0])
 					})
-				}
-				// Backend neutrality: the store changes where copies live,
-				// never the schedule. Under faults the regimes still share the
-				// seed, so the comparison holds there too.
-				if len(base) == 2 {
-					md, cp := base[0], base[1]
-					if md.Makespan != cp.Makespan || md.RT.Fetches != cp.RT.Fetches ||
-						md.RT.Reuses != cp.RT.Reuses || md.RT.Refetches != cp.RT.Refetches {
-						t.Fatalf("backends disagree on the schedule: mdtable {t=%d f=%d r=%d rf=%d} vs cpma {t=%d f=%d r=%d rf=%d}",
-							md.Makespan, md.RT.Fetches, md.RT.Reuses, md.RT.Refetches,
-							cp.Makespan, cp.RT.Fetches, cp.RT.Reuses, cp.RT.Refetches)
-					}
 				}
 			})
 		}
@@ -167,10 +145,10 @@ func TestGraphEngineEquivalence(t *testing.T) {
 }
 
 // TestGraphCheckpointEquivalence arms a mid-run checkpoint in each graph
-// app — cpma backend included, so the snapshot's store section (length,
-// segments, bytes, content fingerprint) rides through the whole contract:
-// non-perturbation, encode/decode round trip, restore-by-replay
-// verification, and byte-identical snapshots across engines.
+// app — planned runs included, so the snapshot's "priors" section and the
+// planner's warm state ride through the whole contract: non-perturbation,
+// encode/decode round trip, restore-by-replay verification, and
+// byte-identical snapshots across engines.
 func TestGraphCheckpointEquivalence(t *testing.T) {
 	prm := geParams()
 	apps := []ckApp{
@@ -178,12 +156,12 @@ func TestGraphCheckpointEquivalence(t *testing.T) {
 			run, _ := graph.RunBFS(mcfg, driver.DPASpec(8), prm, 0)
 			return run
 		}},
-		{"pagerank-cpma", func(mcfg machine.Config) stats.Run {
-			run, _ := graph.RunPageRank(mcfg, driver.DPASpec(8, driver.WithBackend(BackendCPMA)), prm, 2)
+		{"pagerank-planner", func(mcfg machine.Config) stats.Run {
+			run, _ := graph.RunPageRank(mcfg, driver.DPASpec(8, driver.WithPlanner()), prm, 2)
 			return run
 		}},
-		{"cc-cpma", func(mcfg machine.Config) stats.Run {
-			run, _ := graph.RunCC(mcfg, driver.DPASpec(8, driver.WithBackend(BackendCPMA)), prm)
+		{"cc-planner", func(mcfg machine.Config) stats.Run {
+			run, _ := graph.RunCC(mcfg, driver.DPASpec(8, driver.WithPlanner()), prm)
 			return run
 		}},
 	}
@@ -233,16 +211,15 @@ func TestGraphCheckpointEquivalence(t *testing.T) {
 }
 
 // TestGraphPriorZeroRefetches pins the planner acceptance bar on the graph
-// family: with the cross-phase prior on (default backend — reuse-region
-// pinning needs the per-entry state the cpma store discards), every graph
-// app must report exactly zero refetches, and the repeated phases must
+// family: under the planner, whose cross-phase prior is always on, every
+// graph app must report exactly zero refetches, and the repeated phases must
 // actually consult the prior.
 func TestGraphPriorZeroRefetches(t *testing.T) {
 	for _, app := range geApps() {
 		app := app
 		t.Run(app.name, func(t *testing.T) {
 			run, _ := app.run(geConfig(Sequential(), machine.FaultConfig{}),
-				DPASpec(16, WithPrior()))
+				DPASpec(16, WithPlanner()))
 			if run.Err != nil {
 				t.Fatalf("run degraded: %v", run.Err)
 			}

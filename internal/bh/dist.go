@@ -215,7 +215,7 @@ func RunSteps(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, steps 
 	cur := make([]nbody.Body, len(bodies))
 	copy(cur, bodies)
 	var cost []float64
-	ps := driver.NewPriorStore() // cross-phase priors for repeated force phases
+	ps := driver.NewHistory() // cross-phase priors for repeated force phases
 	for s := 0; s < steps; s++ {
 		t := Build(cur, p.LeafCap)
 		d := Distribute(t, mcfg.Nodes, p.ReplDepth, cost)
@@ -223,7 +223,7 @@ func RunSteps(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, steps 
 		work := make([]float64, len(cur))
 		run := driver.RunPhase(mcfg, d.Space, spec, func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) {
 			ForcePhase(rt, nd, d, p, acc, work)
-		}, driver.WithPriors(ps, "force"))
+		}, driver.WithHistory(ps, "force"))
 		total.Merge(run)
 		nbody.Leapfrog(cur, acc, p.DT)
 		cost = work

@@ -19,7 +19,7 @@ type wakeFixture struct {
 
 func newWakeFixture(nodes, ptrs, waiters int) *wakeFixture {
 	space := gptr.NewSpace(nodes)
-	rt := &RT{table: make(map[gptr.Ptr]*dEntry), adaptive: true}
+	rt := &RT{table: make(map[gptr.Ptr]*dEntry), planner: true}
 	rt.oq.init(nodes)
 	f := &wakeFixture{rt: rt, rep: &fetchReply{}, waiters: waiters}
 	fn := func(gptr.Object) {}

@@ -138,8 +138,10 @@ func TestPlannerMispredictionFallsBackToController(t *testing.T) {
 
 func TestValidateRejectsBadPlannerConfigs(t *testing.T) {
 	bad := []Config{
+		func() Config { c := Default(); c.Strip = -1; return c }(),
 		func() Config { c := plannerCfg(50); c.LIFO = true; return c }(),
 		func() Config { c := plannerCfg(50); c.StripMin = 100; c.StripMax = 10; return c }(),
+		func() Config { c := plannerCfg(50); c.StripMin = -1; return c }(),
 		func() Config { c := plannerCfg(50); c.MemBudget = -1; return c }(),
 	}
 	for i, cfg := range bad {
@@ -154,7 +156,7 @@ func TestValidateRejectsBadPlannerConfigs(t *testing.T) {
 }
 
 func TestPlannedDestLimit(t *testing.T) {
-	rt := &RT{adaptive: true, planner: true}
+	rt := &RT{planner: true}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
 	rt.plan.curHist = make([]int32, 4)
@@ -203,7 +205,7 @@ func TestPlannedDestLimit(t *testing.T) {
 // model would not fix — count as mispredictions; a first-contact strip and a
 // stall the model already proposes to outgrow do not.
 func TestPlanMispredictedCases(t *testing.T) {
-	rt := &RT{adaptive: true, planner: true}
+	rt := &RT{planner: true}
 	rt.Cfg = Default()
 	stalled := stripSignals{iters: 10, fetches: 5, elapsed: 100, stall: 60}
 
@@ -232,7 +234,7 @@ func TestPlanMispredictedCases(t *testing.T) {
 }
 
 func TestPlanProposeBounds(t *testing.T) {
-	rt := &RT{adaptive: true, planner: true}
+	rt := &RT{planner: true}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
 	rt.initCtl()

@@ -7,10 +7,11 @@ import (
 
 // This file is the predictive half of planner mode: a closed-form cost model
 // that chooses the next strip size and the per-destination aggregation
-// limits from one strip's reuse summary, *before* the next strip runs. Where
-// the reactive controller (adapt.go) nudges the strip multiplicatively on
-// trailing signals — paying several warm-up strips at the wrong size — the
-// planner computes the size the signals imply and jumps straight to it. All
+// limits from one strip's reuse summary, *before* the next strip runs. A
+// multiplicative controller nudging the strip on trailing signals would pay
+// several warm-up strips at the wrong size; the planner computes the size
+// the signals imply and jumps straight to it (the controller in adapt.go
+// only corrects mispredictions). All
 // inputs are simulated-time counters and machine-model constants, so every
 // decision is a pure function of simulated-time state and planned runs stay
 // bit-identical across engines, repeats, and seeded faults (DESIGN.md §11).
@@ -55,37 +56,17 @@ type planState struct {
 	// the machine model's cost of one request/reply exchange.
 	rttPrior sim.Time
 
-	// Cross-phase prior plumbing (prior.go). priorOn/shapeOn mirror
-	// Cfg.Prior/Cfg.Shape; prior is the table the driver attached for this
-	// phase kind (nil: cold phase). priorBytes is the table's footprint,
-	// charged against the memory budget headroom. retainGap is the reuse-gap
-	// retention window seeded from the prior; maxGap is the ceiling observed
-	// this phase, folded back at the seam.
-	priorOn    bool
-	shapeOn    bool
-	prior      *PriorTable
-	priorBytes int64
-	retainGap  int32
-	maxGap     int32
-	// warm records that this phase warm-started from a non-empty prior: the
-	// prediction source holds measured whole-phase volumes, not a trailing
-	// one-strip sample, so plannedDestLimit trusts it past the cold 8×cap.
-	warm bool
-	// curIter is the original (pre-shaping) index of the top-level iteration
-	// whose thread tree is currently executing (-1 outside planned loops);
-	// recAff is the affinity array it attributes into, first-wins.
-	curIter int32
-	recAff  []int32
-	// Whole-phase accumulators for the fold: per-owner fetch totals and the
-	// per-strip signal sums (planStrip adds each finished strip's signals).
+	// Cross-phase prior (prior.go): the history the driver attached for
+	// this phase kind (nil when the runner keeps none). warm records that
+	// it was staged as the prediction source: the source then holds
+	// measured whole-phase volumes, not a trailing one-strip sample, so
+	// plannedDestLimit trusts it past the cold 8×cap.
+	prior *Prior
+	warm  bool
+	// Whole-phase accumulators FoldPrior publishes: per-owner fetch totals
+	// and the top-level iterations of all planned strips.
 	phaseHist  []int64
 	phaseIters int64
-	phaseBytes int64
-	phaseBusy  sim.Time
-	phaseStall sim.Time
-	// Scratch for affinity-shaped loops, reused across loops.
-	perm     []int32
-	shapeCnt []int32
 }
 
 // init sizes the histograms and derives the RTT prior from the machine
@@ -95,10 +76,7 @@ func (ps *planState) init(n int, cfg *machine.Config) {
 	ps.curHist = make([]int32, n)
 	ps.prevHist = make([]int32, n)
 	ps.rttPrior = 2*(cfg.SendOverhead+cfg.LatencyBase) + cfg.RecvOverhead + cfg.HandlerCost
-	ps.curIter = -1
-	if ps.priorOn {
-		ps.phaseHist = make([]int64, n)
-	}
+	ps.phaseHist = make([]int64, n)
 }
 
 // planRTT is the round-trip estimate the latency bound amortizes against:
@@ -157,13 +135,11 @@ func (rt *RT) planPropose(sig stripSignals) int {
 	}
 
 	// Memory bound: the next strip's new copies must fit the budget
-	// headroom left after this boundary's region releases and the
-	// cross-phase prior table's own footprint (the table lives in the same
-	// per-node memory the budget models). The floor keeps a nearly-full
-	// table from collapsing the strip to nothing — closed regions are
-	// released before the next strip overflows.
+	// headroom left after this boundary's region releases. The floor keeps
+	// a nearly-full table from collapsing the strip to nothing — closed
+	// regions are released before the next strip overflows.
 	if bpi := (sig.fetchedBytes + iters - 1) / iters; bpi > 0 {
-		head := c.memBudget - rt.arrivedBytes - rt.plan.priorBytes
+		head := c.memBudget - rt.arrivedBytes
 		if floor := c.memBudget / 4; head < floor {
 			head = floor
 		}
@@ -191,9 +167,7 @@ const aggFills = 4
 // batch, and with no prediction at all the limit IS the cap: never
 // fragment on a guess. Only a predicted-heavy owner (volume above the cap)
 // splits, evenly, which restores eager mid-strip streaming exactly where
-// there is enough traffic to hide it. The reactive EWMA limit makes the
-// opposite cold choice (base) because it must stay safe at any strip size;
-// the planner can lean on its strip model.
+// there is enough traffic to hide it.
 func (rt *RT) plannedDestLimit(dst, base int) int {
 	hi := base * 8
 	ps := &rt.plan
@@ -209,9 +183,7 @@ func (rt *RT) plannedDestLimit(dst, base int) int {
 		// Cross-phase prior (prior.go): the prediction is a measured
 		// whole-phase volume, not a one-strip extrapolation, so there is no
 		// cold cap to respect — batch the owner's entire predicted strip
-		// volume into one message. With affinity shaping the owner's
-		// iterations arrive as one contiguous run, so the batch fills exactly
-		// once per strip and flushes the moment the run completes.
+		// volume into one message.
 		return h
 	}
 	nb := (h + hi - 1) / hi

@@ -1,166 +1,91 @@
 package core
 
 import (
-	"math"
 	"testing"
 
-	"dpa/internal/sim"
+	"dpa/internal/gptr"
 )
 
-// priorCycleRT builds a bare planner runtime wired for cross-phase priors,
-// the same construction style as TestPlannedDestLimit / TestPlanProposeBounds.
-func priorCycleRT(nodes int) *RT {
-	rt := &RT{adaptive: true, planner: true}
-	rt.Cfg = Default()
-	rt.Cfg.AggLimit = 16
-	rt.Cfg.Prior = true
-	rt.Cfg.Shape = true
-	rt.initCtl()
-	rt.rttEwma = make([]sim.Time, nodes)
-	ps := &rt.plan
-	ps.priorOn, ps.shapeOn = true, true
-	ps.curHist = make([]int32, nodes)
-	ps.prevHist = make([]int32, nodes)
-	ps.phaseHist = make([]int64, nodes)
-	ps.rttPrior = 1000
-	ps.curIter = -1
-	return rt
-}
-
 // TestPriorSteadyStateAllocatesNothing pins the recycling contract on the
-// prior-table update cycle: once a phase structure has been seen (owner slice
-// sized, affinity arrays recorded once), every later attach → warm start →
-// shape → record → fold round trip must run without a single heap
-// allocation — the Affinity/scratch swap and the capacity-checked scratch
-// slices are the whole mechanism.
+// prior update cycle: once the prior's owner slice has been sized by a first
+// fold, every later attach → stage → fold round trip must run without a
+// single heap allocation.
 func TestPriorSteadyStateAllocatesNothing(t *testing.T) {
 	const nodes = 4
-	const n = 64 // loop length, repeated every phase
-	rt := priorCycleRT(nodes)
-	pt := &PriorTable{}
+	const n = 64 // top-level iterations, repeated every phase
+	rt := &RT{planner: true}
+	rt.Cfg = Default()
+	rt.initCtl()
+	rt.plan.curHist = make([]int32, nodes)
+	rt.plan.prevHist = make([]int32, nodes)
+	rt.plan.phaseHist = make([]int64, nodes)
+	p := &Prior{}
 
 	phase := func() {
-		rt.AttachPrior(pt)
-		if !pt.Empty() {
-			rt.planWarmStart(n)
-			rt.planShape(n)
-		}
-		rt.beginLoopAffinity(n)
-		for i := range rt.plan.recAff {
-			rt.plan.recAff[i] = 1 // every iteration to owner 1: one long run
-		}
-		rt.plan.phaseIters = int64(n)
-		rt.plan.phaseBytes = 1 << 12
-		rt.plan.phaseBusy = 1000
-		rt.plan.phaseStall = 100
-		rt.plan.phaseHist[1] = int64(n)
-		rt.st.Fetches = int64(n)
+		rt.AttachPrior(p)
+		rt.plan.warm = false
+		rt.stagePrior()
+		rt.plan.phaseIters = n
+		rt.plan.phaseHist[1] = n
 		rt.FoldPrior()
 	}
+	phase() // the first fold sizes the owner slice
 
-	// Two warm-up phases: the first fold sizes the owner slice and records
-	// the first affinity side, the second populates the displaced side so
-	// both halves of the swap have capacity.
-	phase()
-	phase()
-
-	// The steady cycle must actually take the warm paths, or zero allocs
+	// The steady cycle must actually take the warm path, or zero allocs
 	// would be vacuous.
-	rt.AttachPrior(pt)
-	if !rt.planWarmStart(n) {
-		t.Fatal("prior not usable after warm-up folds")
+	phase()
+	if !rt.plan.warm {
+		t.Fatal("prior not staged after a warm-up fold")
 	}
-	if rt.planShape(n) == nil {
-		t.Fatal("no shaping permutation after warm-up folds")
-	}
-
 	if avg := testing.AllocsPerRun(100, phase); avg != 0 {
 		t.Fatalf("steady-state prior cycle allocates %.1f times per phase, want 0", avg)
 	}
 }
 
-// TestPriorWarmStartNeverNarrowsFirstStrip: history may widen the first
-// strip, but the cold plan (whole loop, bounded by the configured maximum) is
-// the floor — the cold whole-loop strip is the zero-refetch schedule, and a
-// history-guessed narrower strip would reintroduce boundary releases.
+// TestPriorWarmStartNeverNarrowsFirstStrip: a usable prior changes how the
+// first planned strip batches its requests, never its size — the cold plan
+// (the whole loop, bounded by the configured maximum) is the zero-refetch
+// schedule. Cold, 400 requests to one owner split at the 8×AggLimit cap into
+// four messages; with last phase's 400-fetch total staged, the predicted
+// volume rides one uncapped batch.
 func TestPriorWarmStartNeverNarrowsFirstStrip(t *testing.T) {
-	const nodes = 4
-	rt := priorCycleRT(nodes)
-	// A prior whose memory bound would argue for a tiny strip: huge bytes
-	// per iteration against the default budget.
-	rt.plan.prior = &PriorTable{
-		Phases: 1, Iters: 100, Fetches: 100, Bytes: 1 << 40,
-		Busy: 1000, Stall: 100,
-		Owners: make([]PriorOwner, nodes),
+	w := newWorld(2)
+	const n = 400
+	var ptrs []gptr.Ptr
+	for i := 0; i < n; i++ {
+		ptrs = append(ptrs, w.space.Alloc(1, obj{id: i}))
 	}
-	rt.plan.prior.Owners[1] = PriorOwner{Fetches: 100, RTT: 500}
-	const n = 512
-	if !rt.planWarmStart(n) {
-		t.Fatal("non-empty prior rejected")
+	loop := func(prior *Prior) (int64, int64, int64) {
+		st, _ := w.run(plannerCfg(10), func(rt *RT) {
+			rt.AttachPrior(prior)
+			rt.ForAll(n, func(i int) {
+				rt.Spawn(ptrs[i], func(o gptr.Object) {})
+			})
+		})
+		return st.PlanStrips, st.ReqMsgs, st.PlanPriorHits
 	}
-	cold := n
-	if cold > rt.ctl.max {
-		cold = rt.ctl.max
+	strips, msgs, hits := loop(nil)
+	if strips != 1 || msgs != 4 || hits != 0 {
+		t.Fatalf("cold loop: %d strips, %d request messages, %d prior hits; want 1, 4, 0",
+			strips, msgs, hits)
 	}
-	if rt.ctl.strip < cold {
-		t.Fatalf("warm start narrowed the first strip to %d, cold plan is %d",
-			rt.ctl.strip, cold)
-	}
-	if !rt.plan.warm || !rt.plan.planned {
-		t.Fatalf("warm start did not mark the plan warm: %+v", rt.plan)
-	}
-	if rt.st.PlanPriorHits != 1 {
-		t.Fatalf("PlanPriorHits = %d, want 1", rt.st.PlanPriorHits)
+	strips, msgs, hits = loop(&Prior{Iters: n, Fetches: []int64{0, n}})
+	if strips != 1 || msgs != 1 || hits != 1 {
+		t.Fatalf("warm loop: %d strips, %d request messages, %d prior hits; want 1, 1, 1",
+			strips, msgs, hits)
 	}
 }
 
-// TestSatGapSaturates pins the reuse-gap record arithmetic at its
-// boundaries: the gap must widen to 64 bits before comparison, saturate at
-// math.MaxInt32 instead of wrapping negative (the distance MaxInt32 -
-// MinInt32 overflows int32 subtraction to -1), and clamp a wrapped strip
-// counter's negative distance to zero — PriorTable.ReuseGap feeds
-// uint32-truncating fingerprint and snapshot encodings, so a negative
-// value silently corrupts both.
-func TestSatGapSaturates(t *testing.T) {
-	cases := []struct {
-		cur, last, want int32
-	}{
-		{5, 3, 2},
-		{7, 7, 0},
-		{math.MaxInt32, 0, math.MaxInt32},
-		// int32 subtraction would give -1 here; the true distance 2^32-1
-		// must saturate to the ceiling.
-		{math.MaxInt32, math.MinInt32, math.MaxInt32},
-		// Wrapped counter: cur behind last clamps to zero, not a huge
-		// positive residue.
-		{math.MinInt32, math.MaxInt32, 0},
-		{-3, 5, 0},
-	}
-	for _, c := range cases {
-		if got := satGap(c.cur, c.last); got != c.want {
-			t.Errorf("satGap(%d, %d) = %d, want %d", c.cur, c.last, got, c.want)
+// TestPriorUnusableStaysCold: a prior from a phase that planned no loops or
+// fetched nothing remotely carries no batching evidence and must leave the
+// plan cold.
+func TestPriorUnusableStaysCold(t *testing.T) {
+	for _, p := range []*Prior{nil, {}, {Iters: 10, Fetches: []int64{0, 0}}, {Fetches: []int64{0, 5}}} {
+		if p.usable() {
+			t.Errorf("prior %+v reported usable", p)
 		}
 	}
-}
-
-// TestReuseGapRecordSaturates drives the actual record site in Spawn: a
-// reuse that closes an int32-overflowing strip distance must fold the
-// saturated ceiling into maxGap (and from there into the prior table), not
-// a wrapped negative that a later honest gap could never exceed.
-func TestReuseGapRecordSaturates(t *testing.T) {
-	rt := priorCycleRT(2)
-	rt.plan.stripIdx = math.MaxInt32
-	rt.plan.maxGap = 10
-	if gap := satGap(rt.plan.stripIdx, math.MinInt32); gap > rt.plan.maxGap {
-		rt.plan.maxGap = gap
-	}
-	if rt.plan.maxGap != math.MaxInt32 {
-		t.Fatalf("maxGap = %d, want saturation at MaxInt32", rt.plan.maxGap)
-	}
-	pt := &PriorTable{}
-	rt.plan.prior = pt
-	rt.FoldPrior()
-	if pt.ReuseGap != math.MaxInt32 {
-		t.Fatalf("folded ReuseGap = %d, want MaxInt32", pt.ReuseGap)
+	if !(&Prior{Iters: 1, Fetches: []int64{0, 1}}).usable() {
+		t.Error("prior with iterations and fetches reported unusable")
 	}
 }

@@ -9,7 +9,8 @@ import (
 // the fused M/D table entry — one per renamed copy, pooled and recycled, and
 // the planner's reuse-region stamp had to fit in its padding rather than grow
 // it. fetchReq/fetchReply are the free-list nodes the fetch protocol recycles
-// on every aggregation batch. A failing test here means a field was added
+// on every aggregation batch, and readyEntry is copied through the ready
+// queues once per thread. A failing test here means a field was added
 // without repacking: either restore the layout or raise the budget in the
 // same change with a justification.
 func TestHotStructSizeBudgets(t *testing.T) {
@@ -29,11 +30,9 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		{"core.fetchReq", unsafe.Sizeof(fetchReq{}), 24},
 		// Pointer batch + object batch: two slice headers.
 		{"core.fetchReply", unsafe.Sizeof(fetchReply{}), 48},
-		// Cross-phase prior records: one PriorOwner per node per phase kind
-		// (two words), and the fixed table header — six aggregate counters,
-		// the reuse-gap window, and three slice headers.
-		{"core.PriorOwner", unsafe.Sizeof(PriorOwner{}), priorOwnerBytes},
-		{"core.PriorTable", unsafe.Sizeof(PriorTable{}), priorTableBytes},
+		// Ready thread: object key, Object interface (2 words), thread
+		// closure.
+		{"core.readyEntry", unsafe.Sizeof(readyEntry{}), 32},
 	}
 	for _, c := range cases {
 		t.Logf("%s = %d bytes (budget %d)", c.name, c.size, c.budget)
@@ -41,29 +40,5 @@ func TestHotStructSizeBudgets(t *testing.T) {
 			t.Errorf("%s grew to %d bytes, over its %d-byte budget; repack or re-justify",
 				c.name, c.size, c.budget)
 		}
-	}
-}
-
-// TestPriorAccountingMatchesLayout pins the prior-table byte accounting to
-// the real struct layouts. ByteSize charges priorTableBytes plus
-// priorOwnerBytes per owner record against the same 4 MiB renamed-copy
-// budget the planner's memory bound spends from (planPropose subtracts
-// priorBytes from the headroom), so a drifted constant silently mis-sizes
-// strips — the constants must equal the layouts exactly, not merely bound
-// them.
-func TestPriorAccountingMatchesLayout(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout budgets are calibrated for 64-bit platforms")
-	}
-	if got := unsafe.Sizeof(PriorOwner{}); got != priorOwnerBytes {
-		t.Errorf("PriorOwner is %d bytes, accounting charges %d", got, priorOwnerBytes)
-	}
-	if got := unsafe.Sizeof(PriorTable{}); got != priorTableBytes {
-		t.Errorf("PriorTable header is %d bytes, accounting charges %d", got, priorTableBytes)
-	}
-	pt := &PriorTable{Owners: make([]PriorOwner, 4), Affinity: [][]int32{make([]int32, 8)}}
-	want := int64(priorTableBytes) + 4*priorOwnerBytes + 8*4
-	if got := pt.ByteSize(); got != want {
-		t.Errorf("ByteSize = %d, want %d", got, want)
 	}
 }

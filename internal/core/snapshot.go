@@ -118,8 +118,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	}
 	w.U64(h)
 
-	// Adaptive controller / planner state.
-	w.Bool(rt.adaptive)
+	// Planner and controller state.
 	w.Bool(rt.planner)
 	c := &rt.ctl
 	w.Int(c.strip)
@@ -147,30 +146,15 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(ps.lastIters)
 	w.Int(ps.owners)
 	w.Time(ps.rttPrior)
-	// Cross-phase prior state (prior.go). The attached table itself is
-	// fingerprinted here so any divergence in prior contents surfaces in the
-	// "rt" section even when the driver does not encode a "priors" section.
-	w.Bool(ps.priorOn)
-	w.Bool(ps.shapeOn)
+	// Cross-phase prior state (prior.go). The attached prior itself is
+	// fingerprinted here so any divergence in its contents surfaces in the
+	// "rt" section as well as in the driver's "priors" section.
 	w.Bool(ps.warm)
-	w.I64(ps.priorBytes)
-	w.U32(uint32(ps.retainGap))
-	w.U32(uint32(ps.maxGap))
-	w.U32(uint32(ps.curIter))
 	w.I64(ps.phaseIters)
-	w.I64(ps.phaseBytes)
-	w.Time(ps.phaseBusy)
-	w.Time(ps.phaseStall)
 	w.Int(len(ps.phaseHist))
 	h2 := uint64(len(ps.phaseHist))
 	for _, v := range ps.phaseHist {
 		h2 = sim.MixFP(h2, uint64(v))
-	}
-	w.U64(h2)
-	w.Int(len(ps.recAff))
-	h2 = uint64(len(ps.recAff))
-	for _, v := range ps.recAff {
-		h2 = sim.MixFP(h2, uint64(uint32(v)))
 	}
 	w.U64(h2)
 	w.Bool(ps.prior != nil)
@@ -181,8 +165,6 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 		w.Time(rt.rttSentAt[i])
 		w.Bool(rt.rttMark[i])
 	}
-	w.Time(rt.gapEwma)
-	w.Time(rt.lastEnq)
 	w.Int(len(rt.trace))
 	for _, pt := range rt.trace {
 		w.U32(uint32(pt.Loop))
@@ -208,20 +190,4 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(st.PlanMispredicts)
 	w.I64(st.RegionReleases)
 	w.I64(st.PlanPriorHits)
-	w.I64(st.PriorBytes)
-	w.I64(st.ShapedRuns)
-	w.I64(st.StoreBatches)
-	w.I64(st.StoreInserts)
-	w.I64(st.StoreRebalances)
-
-	// CPMA copy store (nil on the M/D-table backend): the packed contents
-	// are already canonical (sorted keys), so layout and digest witness the
-	// full store state.
-	w.Bool(rt.store != nil)
-	if rt.store != nil {
-		w.Int(rt.store.Len())
-		w.Int(rt.store.Segments())
-		w.I64(rt.store.CompressedBytes())
-		w.U64(rt.store.Fingerprint())
-	}
 }

@@ -4,6 +4,7 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 
 	"dpa/internal/blocking"
@@ -70,43 +71,21 @@ func WithAggLimit(n int) SpecOption { return func(s *Spec) { s.Core.AggLimit = n
 // WithLIFO selects the depth-first (LIFO) ready-queue discipline for DPA.
 func WithLIFO() SpecOption { return func(s *Spec) { s.Core.LIFO = true } }
 
-// WithAdaptive enables DPA's feedback-driven scheduling layer: an online
-// strip-size controller, owner-major ready scheduling, owner-sorted
-// aggregation flushes with RTT-derived per-destination limits, and batched
-// reply scatter. The configured strip size becomes the starting point.
-func WithAdaptive() SpecOption { return func(s *Spec) { s.Core.Adaptive = true } }
-
 // WithPlanner enables DPA's predictive communication planner: at every strip
 // boundary a closed-form cost model — fed by the previous strip's reuse
 // summary (per-owner fetch histogram, round-trip estimates, byte volumes) —
 // chooses the next strip size and the per-destination aggregation limits
 // before the strip runs, and renamed copies are pinned for exactly their
-// reuse region instead of being dropped wholesale. The reactive controller's
-// machinery (owner-major scheduling, bounded strip limits) stays active
-// underneath: the planner proposes, and the bounded controller corrects only
-// when the model mispredicts. Implies the adaptive layer; mutually exclusive
-// with WithLIFO.
+// reuse region instead of being dropped wholesale. The planner schedules
+// ready threads owner-major, and a bounded reactive controller corrects
+// only when the model mispredicts. When a multi-phase runner passes a
+// History via WithHistory, a repeated phase batches its first requests from
+// the previous phase's per-owner fetch totals. Mutually exclusive with
+// WithLIFO.
 func WithPlanner() SpecOption { return func(s *Spec) { s.Core.Planner = true } }
 
-// WithPrior enables the planner's cross-phase reuse prior (implies
-// WithPlanner): when a multi-phase runner passes a PriorStore via WithPriors,
-// each repeated phase is planned from the previous phase's measured signals
-// — warm-started first strip, pre-sized aggregation batches, reuse-gap
-// retention — instead of the cold machine-model prior.
-func WithPrior() SpecOption {
-	return func(s *Spec) { s.Core.Planner = true; s.Core.Prior = true }
-}
-
-// WithShape enables affinity-shaped tiles (implies WithPrior): top-level
-// iterations of planned loops are reordered into owner-major runs using the
-// prior's recorded owner affinity, so each owner's aggregation batch fills in
-// contiguous runs per strip.
-func WithShape() SpecOption {
-	return func(s *Spec) { s.Core.Planner = true; s.Core.Prior = true; s.Core.Shape = true }
-}
-
-// WithStripBounds sets the adaptive controller's strip-size bounds and
-// per-strip renamed-copy memory budget in bytes (zero keeps each default).
+// WithStripBounds sets the planner's strip-size bounds and renamed-copy
+// memory budget in bytes (zero keeps each default).
 func WithStripBounds(min, max int, memBudget int64) SpecOption {
 	return func(s *Spec) {
 		s.Core.StripMin, s.Core.StripMax, s.Core.MemBudget = min, max, memBudget
@@ -125,13 +104,6 @@ func WithPollEvery(n int) SpecOption {
 
 // WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
 func WithCacheCapacity(n int) SpecOption { return func(s *Spec) { s.Caching.Capacity = n } }
-
-// WithBackend selects the DPA runtime's renamed-copy store:
-// core.BackendMDTable (the default fused M/D map) or core.BackendCPMA (the
-// batch-merged compressed packed-memory array of internal/cpma). The fetch
-// protocol and determinism contract are identical under both; only the
-// copy store and its modeled memory footprint differ.
-func WithBackend(name string) SpecOption { return func(s *Spec) { s.Core.Backend = name } }
 
 // DPASpec returns a Spec for DPA with the given strip size and the default
 // communication optimizations enabled, then applies opts.
@@ -175,23 +147,10 @@ func (s Spec) Validate() error {
 func (s Spec) String() string {
 	switch s.Kind {
 	case DPA:
-		suffix := ""
-		if s.Core.Backend == core.BackendCPMA {
-			suffix = "+cpma"
-		}
-		if s.Core.Shape {
-			return fmt.Sprintf("DPA-PS(%d)%s", s.Core.Strip, suffix)
-		}
-		if s.Core.Prior {
-			return fmt.Sprintf("DPA-PR(%d)%s", s.Core.Strip, suffix)
-		}
 		if s.Core.Planner {
-			return fmt.Sprintf("DPA-P(%d)%s", s.Core.Strip, suffix)
+			return fmt.Sprintf("DPA-P(%d)", s.Core.Strip)
 		}
-		if s.Core.Adaptive {
-			return fmt.Sprintf("DPA-A(%d)%s", s.Core.Strip, suffix)
-		}
-		return fmt.Sprintf("DPA(%d)%s", s.Core.Strip, suffix)
+		return fmt.Sprintf("DPA(%d)", s.Core.Strip)
 	case Caching:
 		return "Caching"
 	case Blocking:
@@ -348,28 +307,18 @@ type runConfig struct {
 	faults     machine.FaultConfig
 	faultsSet  bool
 	checkpoint *machine.CheckpointSpec
-	prior      *PriorStore
-	priorKind  string
+	history    *History
+	phaseKind  string
 }
 
 // WithEngineValue selects the engine driving the phase as a first-class
-// value built by Sequential or Parallel. This is the primary engine-selection
-// option; WithEngine is the deprecated enum form.
+// value built by Sequential or Parallel.
 func WithEngineValue(e Engine) RunOption {
 	return func(rc *runConfig) {
 		rc.engine = e.kind
 		rc.tuning = e.tuning
 		rc.engineSet = true
 	}
-}
-
-// WithEngine selects the simulation engine by kind: sim.Sequential (the
-// default) or sim.Parallel with default tuning.
-//
-// Deprecated: use WithEngineValue with Sequential() or Parallel(...), which
-// carries per-engine tuning (worker count, lookahead, stealing).
-func WithEngine(kind sim.EngineKind) RunOption {
-	return func(rc *runConfig) { rc.engine = kind; rc.tuning = sim.Tuning{}; rc.engineSet = true }
 }
 
 // WithTrace enables activity-timeline recording with the given bin width in
@@ -420,11 +369,17 @@ func WithCheckpoint(spec *machine.CheckpointSpec) RunOption {
 	return func(rc *runConfig) { rc.checkpoint = spec }
 }
 
+// ErrBadSpec is wrapped by the Err of a Run whose Spec failed validation;
+// test with errors.Is. Such a run simulates nothing.
+var ErrBadSpec = errors.New("driver: invalid spec")
+
 // RunPhase executes one SPMD phase: body runs on every node with its
 // runtime; a barrier closes the phase (nodes keep serving until everyone is
 // done). The returned Run has per-node breakdowns and merged runtime
 // counters. Options select the engine, enable tracing, or cross-validate the
-// engines; with no options the phase runs exactly as configured by mcfg.
+// engines; with no options the phase runs exactly as configured by mcfg. A
+// spec that fails validation returns an empty Run whose Err wraps
+// ErrBadSpec.
 func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	body func(rt Runtime, ep *fm.EP, nd *machine.Node), opts ...RunOption) stats.Run {
 
@@ -449,16 +404,16 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 		mcfg.Checkpoint = rc.checkpoint
 	}
 	if err := spec.Validate(); err != nil {
-		panic("driver: invalid spec: " + err.Error())
+		return stats.Run{Err: fmt.Errorf("%w: %w", ErrBadSpec, err)}
 	}
-	// The validation run must see the same pre-phase priors as the primary
-	// run without the two folding into one table, so it gets a deep copy
-	// taken before the primary run mutates the store.
-	var checkPrior *PriorStore
-	if rc.validate && rc.prior != nil {
-		checkPrior = rc.prior.Clone()
+	// The validation run must see the same pre-phase history as the
+	// primary run without the two folding into one, so it gets a deep copy
+	// taken before the primary run mutates the history.
+	var checkHist *History
+	if rc.validate && rc.history != nil {
+		checkHist = rc.history.Clone()
 	}
-	run := runOnce(mcfg, space, spec, body, rc.prior, rc.priorKind)
+	run := runOnce(mcfg, space, spec, body, rc.history, rc.phaseKind)
 	if rc.validate {
 		other := mcfg
 		// The check run must not re-record into the caller's tracer: it
@@ -471,7 +426,7 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 		} else {
 			other.Engine = sim.Parallel
 		}
-		check := runOnce(other, space, spec, body, checkPrior, rc.priorKind)
+		check := runOnce(other, space, spec, body, checkHist, rc.phaseKind)
 		if diff := run.Diff(check); diff != "" {
 			panic(fmt.Sprintf("driver: engine validation failed (%v vs %v): %s",
 				mcfg.Engine, other.Engine, diff))
@@ -487,24 +442,24 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 // layer is off.
 func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	body func(rt Runtime, ep *fm.EP, nd *machine.Node),
-	prior *PriorStore, priorKind string) stats.Run {
+	hist *History, kind string) stats.Run {
 
 	ck := mcfg.Checkpoint
 	protos := NewProtos()
 	m := machine.New(mcfg)
 	rts := make([]Runtime, mcfg.Nodes)
 	eps := make([]*fm.EP, mcfg.Nodes)
-	// Resolve the phase's prior tables on the host before the machine runs:
-	// node bodies only read the slice, so the parallel engine's workers
-	// never race on the store's map.
-	var ptabs []*core.PriorTable
-	if prior != nil && spec.Kind == DPA && spec.Core.Prior {
-		ptabs = prior.tables(priorKind, mcfg.Nodes)
+	// Resolve the phase's priors on the host before the machine runs: node
+	// bodies only read the slice, so the parallel engine's workers never
+	// race on the history's map.
+	var priors []*core.Prior
+	if hist != nil && spec.Kind == DPA && spec.Core.Planner {
+		priors = hist.priors(kind, mcfg.Nodes)
 	}
 	var ckErr error
 	if at, ok := ck.Target(); ok {
 		m.CheckpointAt(at, func() {
-			snap := captureSnapshot(ck, m, rts, eps, prior)
+			snap := captureSnapshot(ck, m, rts, eps, hist)
 			if ck.Verify != nil {
 				if d := ck.Verify.Diff(snap); d != "" {
 					ckErr = &sim.SnapshotDivergedError{Detail: d}
@@ -524,10 +479,8 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 		}
 		rts[nd.ID()] = rt
 		eps[nd.ID()] = ep
-		if ptabs != nil {
-			if pa, ok := rt.(priorAttacher); ok {
-				pa.AttachPrior(ptabs[nd.ID()])
-			}
+		if priors != nil {
+			rt.(coreAdapter).AttachPrior(priors[nd.ID()])
 		}
 		body(rt, ep, nd)
 		ep.Quiesce()
@@ -552,17 +505,13 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 			run.AddErr(&machine.CrashError{Node: nd.ID(), At: nd.CrashedAt})
 		}
 	}
-	// Fold each node's reuse summary into its cross-phase prior table at the
-	// phase seam, in node-index order, before the counters are merged (the
-	// fold refreshes PriorBytes). Host-real-time never enters the fold, so
-	// the store stays a pure function of simulated history.
-	if ptabs != nil {
+	// Fold each node's per-owner fetch totals into its prior at the phase
+	// seam, in node-index order. Host-real-time never enters the fold, so
+	// the history stays a pure function of simulated history.
+	if priors != nil {
 		for _, rt := range rts {
-			if rt == nil {
-				continue
-			}
-			if pf, ok := rt.(priorFolder); ok {
-				pf.FoldPrior()
+			if rt != nil {
+				rt.(coreAdapter).FoldPrior()
 			}
 		}
 	}
@@ -596,23 +545,13 @@ type snapshotter interface {
 	EncodeSnapshot(w *sim.SnapWriter)
 }
 
-// priorAttacher/priorFolder are the cross-phase prior hooks a runtime may
-// implement (core.RT does); other runtimes simply never see priors.
-type priorAttacher interface {
-	AttachPrior(pt *core.PriorTable)
-}
-
-type priorFolder interface {
-	FoldPrior()
-}
-
 // captureSnapshot serializes the run's complete state at a checkpoint
 // boundary: engine scheduling state ("procs"), machine-level node state
 // ("machine"), the messaging layer including reliability windows ("fm"), and
 // runtime tables ("rt"). It runs inside the engine's checkpoint hook, when
 // every simulated process is parked, so all state is quiescent.
 func captureSnapshot(ck *machine.CheckpointSpec, m *machine.Machine,
-	rts []Runtime, eps []*fm.EP, prior *PriorStore) *sim.Snapshot {
+	rts []Runtime, eps []*fm.EP, hist *History) *sim.Snapshot {
 
 	snap := &sim.Snapshot{Version: sim.SnapshotVersion, Meta: ck.Meta(len(eps))}
 	snap.Add("procs", m.SnapshotProcs)
@@ -647,12 +586,12 @@ func captureSnapshot(ck *machine.CheckpointSpec, m *machine.Machine,
 		}
 	})
 	snap.Add("priors", func(w *sim.SnapWriter) {
-		if prior == nil {
+		if hist == nil {
 			w.Bool(false)
 			return
 		}
 		w.Bool(true)
-		prior.EncodeSnapshot(w)
+		hist.EncodeSnapshot(w)
 	})
 	return snap
 }

@@ -5,56 +5,53 @@ import (
 	"dpa/internal/sim"
 )
 
-// PriorStore carries the planner's cross-phase reuse priors (core.PriorTable)
-// across phase boundaries: one table per (phase kind, node). The store lives
-// in the application runner — one store per multi-phase run — and is handed
-// to each RunPhase via WithPriors; the driver attaches each node's table
-// before the phase body runs and folds the phase's reuse summary back at the
-// seam, in node-index order, so the store's contents are a pure function of
-// simulated history. A store is intentionally NOT part of a Spec: specs are
-// reusable values, and a mutable store inside one would let a second run of
-// the same spec warm-start from the first, breaking the bit-identical
-// repeat contract the equivalence suites assert.
-type PriorStore struct {
-	kinds map[string][]*core.PriorTable
+// History carries the planner's cross-phase priors (core.Prior) across the
+// phase boundaries of one multi-phase run: one prior per (phase kind, node).
+// The application runner creates one History per run and hands it to each
+// RunPhase via WithHistory; under a planner spec the driver attaches each
+// node's prior before the phase body runs and folds the phase's per-owner
+// fetch totals back at the seam, in node-index order, so the history is a
+// pure function of simulated history. It is intentionally not part of a
+// Spec: specs are reusable values, and a mutable history inside one would let
+// a second run of the same spec start from the first, breaking the
+// bit-identical repeat contract.
+type History struct {
+	kinds map[string][]*core.Prior
 	order []string // insertion order, for deterministic encoding
 }
 
-// NewPriorStore returns an empty store. One store should span exactly one
-// multi-phase run; a fresh run starts from a fresh (cold) store.
-func NewPriorStore() *PriorStore {
-	return &PriorStore{kinds: make(map[string][]*core.PriorTable)}
+// NewHistory returns an empty history. One history should span exactly one
+// multi-phase run.
+func NewHistory() *History {
+	return &History{kinds: make(map[string][]*core.Prior)}
 }
 
-// tables returns the per-node table slice for a phase kind, creating cold
-// tables on first use. Creation happens on the host before the machine runs,
-// so concurrent node bodies only ever read the returned slice.
-func (ps *PriorStore) tables(kind string, nodes int) []*core.PriorTable {
-	ts := ps.kinds[kind]
-	if ts == nil {
-		ts = make([]*core.PriorTable, nodes)
-		for i := range ts {
-			ts[i] = &core.PriorTable{}
-		}
-		ps.kinds[kind] = ts
-		ps.order = append(ps.order, kind)
-	}
-	return ts
-}
-
-// Clone deep-copies the store. RunPhase uses it to give the WithValidation
-// check run the same pre-phase priors as the primary run without the two
-// runs double-folding into one table.
-func (ps *PriorStore) Clone() *PriorStore {
+// priors returns the per-node priors for a phase kind, creating empty ones
+// on first use. Creation happens on the host before the machine runs, so
+// concurrent node bodies only ever read the returned slice.
+func (h *History) priors(kind string, nodes int) []*core.Prior {
+	ps := h.kinds[kind]
 	if ps == nil {
-		return nil
+		ps = make([]*core.Prior, nodes)
+		for i := range ps {
+			ps[i] = &core.Prior{}
+		}
+		h.kinds[kind] = ps
+		h.order = append(h.order, kind)
 	}
-	c := NewPriorStore()
-	for _, kind := range ps.order {
-		src := ps.kinds[kind]
-		dst := make([]*core.PriorTable, len(src))
-		for i, t := range src {
-			dst[i] = t.Clone()
+	return ps
+}
+
+// Clone deep-copies the history. RunPhase uses it to give the
+// WithValidation check run the same pre-phase priors as the primary run
+// without the two runs folding into one.
+func (h *History) Clone() *History {
+	c := NewHistory()
+	for _, kind := range h.order {
+		src := h.kinds[kind]
+		dst := make([]*core.Prior, len(src))
+		for i, p := range src {
+			dst[i] = p.Clone()
 		}
 		c.kinds[kind] = dst
 		c.order = append(c.order, kind)
@@ -62,26 +59,26 @@ func (ps *PriorStore) Clone() *PriorStore {
 	return c
 }
 
-// EncodeSnapshot writes the store for the snapshot's "priors" section:
+// EncodeSnapshot writes the history for the snapshot's "priors" section:
 // kinds in insertion order (the order phases first ran, itself
-// deterministic), each with its per-node tables.
-func (ps *PriorStore) EncodeSnapshot(w *sim.SnapWriter) {
-	w.Int(len(ps.order))
-	for _, kind := range ps.order {
+// deterministic), each with its per-node priors.
+func (h *History) EncodeSnapshot(w *sim.SnapWriter) {
+	w.Int(len(h.order))
+	for _, kind := range h.order {
 		w.Str(kind)
-		ts := ps.kinds[kind]
-		w.Int(len(ts))
-		for _, t := range ts {
-			t.EncodeSnapshot(w)
+		ps := h.kinds[kind]
+		w.Int(len(ps))
+		for _, p := range ps {
+			p.EncodeSnapshot(w)
 		}
 	}
 }
 
-// WithPriors hands the phase a cross-phase prior store and names the phase
-// kind the store should key this phase's tables under (repeated phases of
-// the same kind share tables; distinct kinds — e.g. the E and H halves of an
-// EM3D iteration — get their own). A no-op unless the spec is DPA with
-// Prior enabled, so runners can pass their store unconditionally.
-func WithPriors(store *PriorStore, kind string) RunOption {
-	return func(rc *runConfig) { rc.prior = store; rc.priorKind = kind }
+// WithHistory hands the phase the run's history and names the phase kind
+// its priors are kept under (repeated phases of the same kind share them;
+// distinct kinds — e.g. the E and H halves of an EM3D iteration — get their
+// own). A no-op unless the spec is DPA with the planner, so runners can pass
+// their history unconditionally.
+func WithHistory(h *History, kind string) RunOption {
+	return func(rc *runConfig) { rc.history = h; rc.phaseKind = kind }
 }

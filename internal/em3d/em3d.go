@@ -211,7 +211,7 @@ func SeqStep(prm Params) stats.Run {
 func RunIters(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (stats.Run, *Graph) {
 	g := Build(prm, mcfg.Nodes)
 	var total stats.Run
-	ps := driver.NewPriorStore() // cross-phase priors: E halves seed E, H halves seed H
+	ps := driver.NewHistory() // cross-phase priors: E halves seed E, H halves seed H
 	for it := 0; it < iters; it++ {
 		for _, half := range []struct {
 			kind string
@@ -234,7 +234,7 @@ func RunIters(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (sta
 							})
 						}
 					})
-				}, driver.WithPriors(ps, half.kind))
+				}, driver.WithHistory(ps, half.kind))
 			total.Merge(run)
 			for i := range half.ns {
 				half.ns[i].Value -= acc[i]

@@ -311,25 +311,25 @@ func RunStep(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, prm Par
 }
 
 func runStep(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, prm Params,
-	ps *driver.PriorStore) (stats.Run, *Result) {
+	ps *driver.History) (stats.Run, *Result) {
 	d := Distribute(bodies, prm, mcfg.Nodes)
 	field := make([]complex128, len(bodies))
 	pot := make([]float64, len(bodies))
 	run := driver.RunPhase(mcfg, d.Space, spec, func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) {
 		Phase(rt, ep, nd, d, field, pot)
-	}, driver.WithPriors(ps, "fmm"))
+	}, driver.WithHistory(ps, "fmm"))
 	return run, &Result{Field: field, Pot: pot}
 }
 
 // RunSteps simulates `steps` repeated FMM steps under spec, sharing one
-// cross-phase prior store across them, and returns the merged statistics and
-// the last step's result. Body positions are held fixed between steps — the
+// driver.History across them, and returns the merged statistics and the last
+// step's result. Body positions are held fixed between steps — the
 // repeated-phase regime of a time-stepped code whose per-step motion is
 // small, which is exactly where the planner's cross-phase prior applies; the
-// tree is re-distributed from scratch each step, so nothing but the prior
-// store survives a step boundary.
+// tree is re-distributed from scratch each step, so nothing but the history
+// survives a step boundary.
 func RunSteps(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, steps int, prm Params) (stats.Run, *Result) {
-	ps := driver.NewPriorStore()
+	ps := driver.NewHistory()
 	var total stats.Run
 	var res *Result
 	for s := 0; s < steps; s++ {

@@ -12,11 +12,10 @@
 // traversed as DPA phase loops through internal/driver: each
 // level/iteration is one SPMD phase with fresh runtimes (cached copies
 // never go stale across the value updates), owners apply updates between
-// phases, and a PriorStore threads the planner's cross-phase reuse prior
-// through the repeated phases. Everything is compatible with WithAdaptive,
-// WithPlanner, WithPrior/WithShape, WithBackend, fault injection, and
-// checkpoints, and runs stay bit-identical across engines, repeats, and
-// seeded faults.
+// phases, and a driver.History carries the planner's cross-phase prior
+// through the repeated phases. Everything is compatible with WithPlanner,
+// fault injection, and checkpoints, and runs stay bit-identical across
+// engines, repeats, and seeded faults.
 package graph
 
 import (

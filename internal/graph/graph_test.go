@@ -125,14 +125,14 @@ func TestMillionVertexBuild(t *testing.T) {
 }
 
 // TestBFSMatchesSeq: simulated BFS levels must equal the host reference
-// exactly, on both backends.
+// exactly, static and planned.
 func TestBFSMatchesSeq(t *testing.T) {
 	prm := testParams(192, KindRMAT)
 	mcfg := machine.DefaultT3D(4)
 	want := SeqBFS(prm, 4, 0)
 	for _, spec := range []driver.Spec{
 		driver.DPASpec(16),
-		driver.DPASpec(16, driver.WithBackend("cpma")),
+		driver.DPASpec(16, driver.WithPlanner()),
 	} {
 		_, got := RunBFS(mcfg, spec, prm, 0)
 		if !reflect.DeepEqual(got, want) {
@@ -149,7 +149,7 @@ func TestCCMatchesSeq(t *testing.T) {
 	want := SeqCC(prm, 4)
 	for _, spec := range []driver.Spec{
 		driver.DPASpec(16),
-		driver.DPASpec(16, driver.WithBackend("cpma")),
+		driver.DPASpec(16, driver.WithPlanner()),
 	} {
 		_, got := RunCC(mcfg, spec, prm)
 		if !reflect.DeepEqual(got, want) {
@@ -167,7 +167,7 @@ func TestPageRankMatchesSeq(t *testing.T) {
 	want := SeqPageRank(prm, 4, 3)
 	for _, spec := range []driver.Spec{
 		driver.DPASpec(16),
-		driver.DPASpec(16, driver.WithBackend("cpma")),
+		driver.DPASpec(16, driver.WithPlanner()),
 	} {
 		_, got := RunPageRank(mcfg, spec, prm, 3)
 		if len(got) != len(want) {
@@ -181,24 +181,20 @@ func TestPageRankMatchesSeq(t *testing.T) {
 	}
 }
 
-// TestGraphAppsCollectStats: the runners must report the fetch traffic the
-// backends race over, and the CPMA backend must actually run its store.
+// TestGraphAppsCollectStats: the runners must report their fetch traffic,
+// and the planner's repeated phases must consult the cross-phase prior.
 func TestGraphAppsCollectStats(t *testing.T) {
 	prm := testParams(192, KindRMAT)
 	mcfg := machine.DefaultT3D(4)
 	run, _ := RunPageRank(mcfg, driver.DPASpec(16), prm, 2)
 	if run.RT.Fetches == 0 || run.RT.ReqMsgs == 0 || run.RT.ThreadsRun == 0 {
-		t.Fatalf("mdtable run recorded no traffic: %+v", run.RT)
+		t.Fatalf("static run recorded no traffic: %+v", run.RT)
 	}
-	if run.RT.StoreBatches != 0 {
-		t.Fatalf("mdtable run touched the CPMA store: %+v", run.RT)
+	if run.RT.PlanPriorHits != 0 {
+		t.Fatalf("static run consulted a prior: %+v", run.RT)
 	}
-	crun, _ := RunPageRank(mcfg, driver.DPASpec(16, driver.WithBackend("cpma")), prm, 2)
-	if crun.RT.StoreBatches == 0 || crun.RT.StoreInserts == 0 {
-		t.Fatalf("cpma run never exercised the store: %+v", crun.RT)
-	}
-	if crun.RT.Fetches != run.RT.Fetches {
-		t.Fatalf("fetch traffic differs across backends under identical static schedule: %d vs %d",
-			crun.RT.Fetches, run.RT.Fetches)
+	prun, _ := RunPageRank(mcfg, driver.DPASpec(16, driver.WithPlanner()), prm, 2)
+	if prun.RT.PlanPriorHits == 0 {
+		t.Fatalf("planned second iteration never consulted the prior: %+v", prun.RT)
 	}
 }

@@ -60,8 +60,8 @@ const (
 	// KStrip is a strip boundary in a strip-mined loop: Arg1 is the first
 	// admitted top-level index, Arg2 the strip size just completed.
 	KStrip
-	// KAdapt is an adaptive strip-size decision: Arg1 the new strip size,
-	// Arg2 the top-level loop index.
+	// KAdapt is a planner strip-size change: Arg1 the new strip size, Arg2
+	// the top-level loop index.
 	KAdapt
 	// KFault is an injected fault: Arg1 a Fault* code, Arg2 the detail
 	// (destination for drop/dup, extra cycles for jitter/stall).
@@ -76,13 +76,10 @@ const (
 	// fires only when the size actually changes) so planner runs record
 	// every boundary decision.
 	KPlan
-	// KPrior is a planner warm start from a cross-phase prior: Arg1 the
-	// strip size seeded from the prior's signals, Arg2 the top-level loop
-	// index.
+	// KPrior is a planner loop whose first aggregation batches come from
+	// the previous phase's per-owner fetch totals: Arg1 the first strip
+	// size, Arg2 the top-level loop index.
 	KPrior
-	// KShape is an affinity-shaped loop: Arg1 the number of owner-major
-	// runs the shaped order emits, Arg2 the top-level loop index.
-	KShape
 	// NumKinds is the number of event kinds.
 	NumKinds
 )
@@ -112,8 +109,6 @@ func (k Kind) String() string {
 		return "plan"
 	case KPrior:
 		return "prior"
-	case KShape:
-		return "shape"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

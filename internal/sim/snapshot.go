@@ -29,8 +29,11 @@ import (
 // snapshotMagic opens every encoded snapshot.
 const snapshotMagic = "DPASNAP1"
 
-// SnapshotVersion is the current snapshot format version.
-const SnapshotVersion uint32 = 1
+// SnapshotVersion is the current snapshot format version. Version 2 dropped
+// the adaptive, shaped-tile and CPMA state from the "rt" section and reduced
+// the "priors" section to per-owner fetch totals; version-1 snapshots are
+// rejected.
+const SnapshotVersion uint32 = 2
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

@@ -129,6 +129,13 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Fatalf("future version accepted (err=%v)", err)
 		}
 	})
+	t.Run("version-1-valid-crc", func(t *testing.T) {
+		mut := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(mut[8:], 1)
+		if _, err := Restore(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("version-1 snapshot accepted (err=%v)", err)
+		}
+	})
 	t.Run("oversized-section-valid-crc", func(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		// First section's name length field sits right after the fixed

@@ -60,9 +60,9 @@ func (r *Run) MetricsInto(reg *obs.Registry, phase string) {
 		Set(r.RT.PeakOutstanding, lbl()...)
 	reg.Gauge("dpa_peak_arrived_bytes", "Peak renamed-copy bytes on one node.").
 		Set(r.RT.PeakArrivedBytes, lbl()...)
-	reg.Counter("dpa_strip_grows_total", "Adaptive strip-size increases.").
+	reg.Counter("dpa_strip_grows_total", "Corrective strip-size increases after planner mispredictions.").
 		Add(r.RT.StripGrows, lbl()...)
-	reg.Counter("dpa_strip_shrinks_total", "Adaptive strip-size decreases.").
+	reg.Counter("dpa_strip_shrinks_total", "Corrective strip-size decreases after planner mispredictions.").
 		Add(r.RT.StripShrinks, lbl()...)
 	reg.Counter("dpa_plan_strips_total", "Predictive planner strip decisions.").
 		Add(r.RT.PlanStrips, lbl()...)
@@ -70,18 +70,8 @@ func (r *Run) MetricsInto(reg *obs.Registry, phase string) {
 		Add(r.RT.PlanMispredicts, lbl()...)
 	reg.Counter("dpa_region_releases_total", "Renamed copies released at reuse-region close.").
 		Add(r.RT.RegionReleases, lbl()...)
-	reg.Counter("dpa_plan_prior_hits_total", "Planner decisions taken from a cross-phase prior.").
+	reg.Counter("dpa_plan_prior_hits_total", "Planned phases batched from the previous phase's per-owner fetch totals.").
 		Add(r.RT.PlanPriorHits, lbl()...)
-	reg.Counter("dpa_shaped_runs_total", "Owner-major runs emitted by affinity-shaped loops.").
-		Add(r.RT.ShapedRuns, lbl()...)
-	reg.Gauge("dpa_prior_bytes", "Cross-phase prior table footprint on one node.").
-		Set(r.RT.PriorBytes, lbl()...)
-	reg.Counter("dpa_store_batches_total", "CPMA copy-store batched merge operations.").
-		Add(r.RT.StoreBatches, lbl()...)
-	reg.Counter("dpa_store_inserts_total", "Elements packed into the CPMA copy store.").
-		Add(r.RT.StoreInserts, lbl()...)
-	reg.Counter("dpa_store_rebalances_total", "CPMA segment redistributions (density violations).").
-		Add(r.RT.StoreRebalances, lbl()...)
 
 	flt := reg.Counter("dpa_faults_injected_total", "Faults injected, by fault kind.")
 	flt.Add(r.Faults.Dropped, lbl(obs.L("kind", "drop"))...)

@@ -1,11 +1,11 @@
 package dpa
 
-// Cross-phase prior determinism: the prior table is folded from
-// simulated-time counters at phase seams and read back at the next phase's
-// first strip, so runs with priors (and affinity shaping on top) must stay
-// bit-identical across engines, worker counts, repeats, seeded loss, and
-// crash lotteries — exactly the contract the planner (planner_equiv_test.go)
-// and the adaptive layer (adaptive_equiv_test.go) already carry.
+// Cross-phase prior determinism: in planner mode the driver folds each
+// phase's per-owner fetch totals at the seam and the next phase of the same
+// kind batches its first requests from them, so multi-phase planned runs
+// must stay bit-identical across engines, worker counts, repeats, seeded
+// loss, and crash lotteries — the same contract as single-phase planned runs
+// (planner_equiv_test.go).
 
 import (
 	"testing"
@@ -18,21 +18,18 @@ import (
 
 func TestPriorDeterminismEM3D(t *testing.T) {
 	prm := em3d.DefaultParams(160)
-	spec := DPASpec(8, WithShape())
+	spec := DPASpec(8, WithPlanner())
 	for _, faults := range []bool{false, true} {
 		name := "fault-free"
 		if faults {
 			name = "5% loss"
 		}
-		r := adaptiveRuns(t, name, faults, func(mcfg MachineConfig) RunStats {
-			run, _ := em3d.RunIters(mcfg, spec, prm, 2)
+		r := determinismRuns(t, name, faults, func(mcfg MachineConfig) RunStats {
+			run, _ := em3d.RunIters(mcfg, spec, prm, 3)
 			return run
 		})
 		if r.RT.PlanPriorHits == 0 {
-			t.Errorf("%s: no warm starts over four phases: %+v", name, r.RT)
-		}
-		if r.RT.PriorBytes == 0 {
-			t.Errorf("%s: prior tables never charged any bytes: %+v", name, r.RT)
+			t.Errorf("%s: no prior hits over six phases: %+v", name, r.RT)
 		}
 		if !faults && r.RT.Refetches != 0 {
 			t.Errorf("%s: prior run refetched %d objects, want 0", name, r.RT.Refetches)
@@ -46,28 +43,26 @@ func TestPriorDeterminismEM3D(t *testing.T) {
 func TestPriorDeterminismBarnesHut(t *testing.T) {
 	bodies := nbody.Plummer(256, 42)
 	p := bh.DefaultParams()
-	spec := DPASpec(8, WithShape())
-	r := adaptiveRuns(t, "fault-free", false, func(mcfg MachineConfig) RunStats {
+	spec := DPASpec(8, WithPlanner())
+	r := determinismRuns(t, "fault-free", false, func(mcfg MachineConfig) RunStats {
 		return bh.RunSteps(mcfg, spec, bodies, 2, p)
 	})
 	if r.RT.PlanPriorHits == 0 {
-		t.Errorf("second force phase never warm-started: %+v", r.RT)
+		t.Errorf("second force phase never hit the prior: %+v", r.RT)
 	}
 	if r.RT.Refetches != 0 {
 		t.Errorf("prior run refetched %d objects, want 0", r.RT.Refetches)
 	}
 }
 
-// TestPriorWarmStartsSecondPhase pins the warm-start schedule: the first
-// phase of a kind is cold by definition (there is no history to read), and
-// every phase of that kind after it must plan its first strip from the fold.
-// BH checks the warm start survives a reshaped iteration space (the tree is
-// rebuilt every step, so shaping declines to identity order but the strip
-// and batching priors still apply); EM3D's fixed-length loops must shape.
+// TestPriorWarmStartsSecondPhase pins the prior's schedule: the first phase
+// of a kind is cold by definition (there is no history to read), and every
+// phase of that kind after it must batch from the fold. BH checks the prior
+// survives a rebuilt iteration space (the tree is rebuilt every step).
 func TestPriorWarmStartsSecondPhase(t *testing.T) {
 	bodies := nbody.Plummer(192, 42)
 	p := bh.DefaultParams()
-	spec := DPASpec(8, WithShape())
+	spec := DPASpec(8, WithPlanner())
 	steps := func(n int) stats.Run {
 		return bh.RunSteps(DefaultT3D(4), spec, bodies, n, p)
 	}
@@ -87,16 +82,12 @@ func TestPriorWarmStartsSecondPhase(t *testing.T) {
 	if r := iters(1); r.RT.PlanPriorHits != 0 {
 		t.Errorf("first E+H phases claimed %d prior hits, want 0", r.RT.PlanPriorHits)
 	}
-	r := iters(2)
-	if r.RT.PlanPriorHits == 0 {
+	if r := iters(2); r.RT.PlanPriorHits == 0 {
 		t.Errorf("repeated E/H phases never hit the prior: %+v", r.RT)
-	}
-	if r.RT.ShapedRuns == 0 {
-		t.Errorf("fixed-shape loops never shaped a run with WithShape: %+v", r.RT)
 	}
 }
 
-// TestPriorCrashDeterminism runs the priors-enabled checkpoint workload
+// TestPriorCrashDeterminism runs the multi-phase planner checkpoint workload
 // (ckApps' em3d-prior entry) under the loss + crash-lottery fault config:
 // partial results, crash errors, and the prior counters must be
 // bit-identical across engines and repeats.
