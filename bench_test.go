@@ -63,21 +63,19 @@ func BenchmarkEngine(b *testing.B) {
 	w := nbody.Plummer(4096, 42)
 	cases := []struct {
 		name string
-		eng  Engine
+		eng  engineCase
 	}{
-		{"sequential", Sequential()},
-		{"parallel", Parallel()},
-		{"parallel-w1", Parallel(Workers(1))},
-		{"parallel-w2", Parallel(Workers(2))},
-		{"parallel-w4", Parallel(Workers(4))},
-		{"parallel-w8", Parallel(Workers(8))},
+		{"sequential", seqEngine},
+		{"parallel", parEngine},
+		{"parallel-w1", engineCase{Parallel, 1}},
+		{"parallel-w2", engineCase{Parallel, 2}},
+		{"parallel-w4", engineCase{Parallel, 4}},
+		{"parallel-w8", engineCase{Parallel, 8}},
 	}
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			mcfg := machine.DefaultT3D(32)
-			mcfg.Engine = c.eng.Kind()
-			mcfg.EngineTuning = c.eng.Tuning()
+			mcfg := c.eng.on(machine.DefaultT3D(32))
 			for i := 0; i < b.N; i++ {
 				bh.RunSteps(mcfg, driver.DPASpec(50), w, 1, bh.DefaultParams())
 			}

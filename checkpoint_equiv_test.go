@@ -81,10 +81,8 @@ func ckFaults() machine.FaultConfig {
 	return fc
 }
 
-func ckConfig(eng Engine, faults bool) machine.Config {
-	mcfg := DefaultT3D(ckNodes)
-	mcfg.Engine = eng.Kind()
-	mcfg.EngineTuning = eng.Tuning()
+func ckConfig(eng engineCase, faults bool) machine.Config {
+	mcfg := eng.on(DefaultT3D(ckNodes))
 	if faults {
 		mcfg.Faults = ckFaults()
 	}
@@ -93,7 +91,7 @@ func ckConfig(eng Engine, faults bool) machine.Config {
 
 // captureAt runs app with a checkpoint armed at cumulative virtual time at
 // and returns the encoded snapshot plus the run table.
-func captureAt(t *testing.T, app ckApp, eng Engine, faults bool, at Time) ([]byte, stats.Run) {
+func captureAt(t *testing.T, app ckApp, eng engineCase, faults bool, at Time) ([]byte, stats.Run) {
 	t.Helper()
 	var snapBytes []byte
 	spec := &machine.CheckpointSpec{
@@ -119,7 +117,7 @@ func captureAt(t *testing.T, app ckApp, eng Engine, faults bool, at Time) ([]byt
 
 // verifyAgainst replays app with snap as the restore-verification target and
 // returns the divergence error the boundary delivered plus the run table.
-func verifyAgainst(t *testing.T, app ckApp, eng Engine, faults bool, snap *sim.Snapshot) (error, stats.Run) {
+func verifyAgainst(t *testing.T, app ckApp, eng engineCase, faults bool, snap *sim.Snapshot) (error, stats.Run) {
 	t.Helper()
 	delivered := false
 	var verr error
@@ -148,7 +146,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				// The uninterrupted reference run (sequential) fixes the
 				// boundary: mid-run by total virtual time.
-				base := app.run(ckConfig(Sequential(), faults))
+				base := app.run(ckConfig(seqEngine, faults))
 				at := base.Makespan / 2
 				if at <= 0 {
 					t.Fatalf("degenerate makespan %d", base.Makespan)
@@ -165,7 +163,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 				}
 
 				snaps := make(map[string][]byte)
-				for _, eng := range []Engine{Sequential(), Parallel()} {
+				for _, eng := range []engineCase{seqEngine, parEngine} {
 					eng := eng
 					t.Run(eng.String(), func(t *testing.T) {
 						// 1. Arming the checkpoint must not perturb the run.
@@ -227,7 +225,7 @@ func TestCheckpointVerifyDetectsDivergence(t *testing.T) {
 	// the capture point even though its run unfolds differently after (and
 	// before) it.
 	const at = 100_000
-	snapBytes, _ := captureAt(t, app, Sequential(), true, at)
+	snapBytes, _ := captureAt(t, app, seqEngine, true, at)
 	snap, err := RestoreSnapshot(snapBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +237,7 @@ func TestCheckpointVerifyDetectsDivergence(t *testing.T) {
 		Verify:  snap,
 		Deliver: func(s *sim.Snapshot, err error) { delivered = true; verr = err },
 	}
-	mcfg := ckConfig(Sequential(), true)
+	mcfg := ckConfig(seqEngine, true)
 	mcfg.Faults.Seed = 8 // not the seed the snapshot was captured under
 	mcfg.Checkpoint = spec
 	run := app.run(mcfg)
@@ -260,7 +258,7 @@ func TestCheckpointVerifyDetectsDivergence(t *testing.T) {
 func TestCheckpointObsExports(t *testing.T) {
 	app := ckApps()[2] // em3d exercises fetch, strip, and barrier events
 	type export struct{ trace, metrics []byte }
-	exportRun := func(eng Engine, ck *machine.CheckpointSpec) export {
+	exportRun := func(eng engineCase, ck *machine.CheckpointSpec) export {
 		tracer := NewTracer(ckNodes, 0)
 		mcfg := ckConfig(eng, false)
 		mcfg.Obs = tracer
@@ -279,9 +277,9 @@ func TestCheckpointObsExports(t *testing.T) {
 		return export{tb.Bytes(), mb.Bytes()}
 	}
 
-	base := app.run(ckConfig(Sequential(), false))
+	base := app.run(ckConfig(seqEngine, false))
 	at := base.Makespan / 2
-	for _, eng := range []Engine{Sequential(), Parallel()} {
+	for _, eng := range []engineCase{seqEngine, parEngine} {
 		eng := eng
 		t.Run(eng.String(), func(t *testing.T) {
 			plain := exportRun(eng, nil)
@@ -318,7 +316,7 @@ func TestCheckpointObsExports(t *testing.T) {
 func TestCrashDeterminism(t *testing.T) {
 	app := ckApps()[2]
 	runs := make([]stats.Run, 0, 3)
-	for _, eng := range []Engine{Sequential(), Sequential(), Parallel()} {
+	for _, eng := range []engineCase{seqEngine, seqEngine, parEngine} {
 		runs = append(runs, app.run(ckConfig(eng, true)))
 	}
 	for i := 1; i < len(runs); i++ {

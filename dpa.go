@@ -54,50 +54,46 @@ type (
 	Endpoint = fm.EP
 	// Time is a duration or instant in simulated cycles.
 	Time = sim.Time
-	// Engine is a first-class engine selection: which simulation engine
-	// drives a phase plus its host-performance tuning. Build one with
-	// Sequential or Parallel and pass it to RunPhase via WithEngineValue.
-	// Every Engine produces bit-identical simulation results.
-	Engine = driver.Engine
-	// EngineOption tunes an Engine built by Parallel (Workers, Lookahead,
-	// Stealing).
-	EngineOption = driver.EngineOption
+	// EngineKind selects the simulation engine on MachineConfig.Engine:
+	// Sequential (the zero value) or Parallel.
+	EngineKind = sim.EngineKind
+	// EngineTuning is the parallel engine's host-performance knob on
+	// MachineConfig.EngineTuning: Workers, the worker count (0, the default,
+	// means min(GOMAXPROCS, nodes); explicit values must be in [1, nodes]).
+	EngineTuning = sim.Tuning
 )
 
-// Sequential returns the sequential engine: one simulated node at a time, in
-// deterministic virtual-time order. This is the default engine and the
-// baseline every other engine must match bit for bit.
-func Sequential() Engine { return driver.Sequential() }
-
-// Parallel returns the sharded work-stealing parallel engine. Simulated
-// nodes are partitioned across worker shards and run truly in parallel
-// within conservative lookahead windows; results stay bit-identical to
-// Sequential. Tune it with Workers, Lookahead, and Stealing:
+// The simulation engines, selected by MachineConfig.Engine. Every engine
+// produces bit-identical simulation results; only host time differs:
 //
-//	eng := dpa.Parallel(dpa.Workers(8), dpa.Stealing(true))
-//	dpa.RunPhase(cfg, space, spec, body, dpa.WithEngineValue(eng))
-func Parallel(opts ...EngineOption) Engine { return driver.Parallel(opts...) }
-
-// Workers sets the parallel engine's worker count: 0 (the default) means
-// min(GOMAXPROCS, nodes); explicit values must be in [1, nodes].
-func Workers(n int) EngineOption { return driver.Workers(n) }
-
-// Lookahead overrides the parallel engine's conservative window width in
-// cycles. It must be positive and no larger than the machine's minimum
-// cross-node message delay (the default and the widest safe window).
-func Lookahead(t Time) EngineOption { return driver.Lookahead(t) }
-
-// Stealing enables or disables cross-shard work stealing (default on).
-// Stealing only moves host work between workers; it never affects results.
-func Stealing(on bool) EngineOption { return driver.Stealing(on) }
+//	cfg := dpa.DefaultT3D(nodes)
+//	cfg.Engine = dpa.Parallel
+//	cfg.EngineTuning = dpa.EngineTuning{Workers: 8}
+//	dpa.RunPhase(cfg, space, spec, body)
+const (
+	// Sequential runs one simulated node at a time, in deterministic
+	// virtual-time order: the default, and the baseline every other engine
+	// must match bit for bit.
+	Sequential = sim.Sequential
+	// Parallel is the sharded work-stealing engine: simulated nodes are
+	// partitioned across worker shards and run truly in parallel within
+	// conservative lookahead windows.
+	Parallel = sim.Parallel
+)
 
 // ErrBadSpec is the sentinel matched by errors.Is when RunPhase rejects a
 // Spec (negative strip, Planner with LIFO, ...); the returned run simulates
 // nothing and carries the reason in its Err.
 var ErrBadSpec = driver.ErrBadSpec
 
+// ErrEngineDiverged is the sentinel matched by errors.Is when a phase run
+// WithValidation produced different statistics under the other engine; the
+// run's Err carries the diff.
+var ErrEngineDiverged = driver.ErrEngineDiverged
+
 // ErrBadEngine is the sentinel matched by errors.Is for rejected engine
-// tuning (worker count out of [1, nodes], bad lookahead override).
+// tuning (worker count out of [1, nodes]). RunPhase returns a run that
+// simulates nothing with an Err wrapping it.
 var ErrBadEngine = sim.ErrBadTuning
 
 // Runtime selection types.
@@ -146,13 +142,9 @@ type (
 )
 
 // NewTracer creates a tracer for the given node count; eventCap bounds the
-// per-node event ring (<= 0 selects the default). Pass it to RunPhase via
-// WithTracer; one tracer may span several consecutive phases.
+// per-node event ring (<= 0 selects the default). Attach it with
+// MachineConfig.Obs; one tracer may span several consecutive phases.
 func NewTracer(nodes, eventCap int) *Tracer { return obs.NewTracer(nodes, eventCap) }
-
-// WithTracer attaches a structured observability tracer to the phase. The
-// tracer must have been built for the machine's node count.
-func WithTracer(t *Tracer) RunOption { return driver.WithTracer(t) }
 
 // ErrUnreachable is the sentinel error wrapped by a run's Err when a node
 // exhausted its retransmission budget to a peer; test with errors.Is.
@@ -177,7 +169,7 @@ type (
 	// SnapshotMeta identifies when in a run a snapshot was captured.
 	SnapshotMeta = sim.SnapshotMeta
 	// CheckpointSpec arms a checkpoint (or restore verification) across the
-	// phases of a run; pass it to RunPhase via WithCheckpoint.
+	// phases of a run; attach it with MachineConfig.Checkpoint.
 	CheckpointSpec = machine.CheckpointSpec
 )
 
@@ -194,12 +186,6 @@ var ErrSnapshotDiverged = sim.ErrSnapshotDiverged
 // an error wrapping ErrBadSnapshot; it never panics and never returns a
 // partially decoded snapshot.
 func RestoreSnapshot(data []byte) (*Snapshot, error) { return sim.Restore(data) }
-
-// WithCheckpoint arms a deterministic checkpoint (or, when spec.Verify is
-// set, a restore verification) on the phase; see driver.WithCheckpoint. The
-// same spec may ride every phase of a multi-phase run: the capture fires in
-// whichever phase the cumulative boundary time falls.
-func WithCheckpoint(spec *CheckpointSpec) RunOption { return driver.WithCheckpoint(spec) }
 
 // Nil is the null global pointer.
 var Nil = gptr.Nil
@@ -269,35 +255,26 @@ func BlockingSpec(opts ...SpecOption) Spec { return driver.BlockingSpec(opts...)
 // RunOption adjusts how RunPhase executes a phase.
 type RunOption = driver.RunOption
 
-// WithEngineValue selects the engine driving the phase as a first-class
-// value: dpa.Sequential() or dpa.Parallel(opts...).
-func WithEngineValue(e Engine) RunOption { return driver.WithEngineValue(e) }
-
-// WithTrace enables activity-timeline recording with the given bin width in
-// cycles.
-func WithTrace(binWidth Time) RunOption { return driver.WithTrace(binWidth) }
-
-// WithValidation runs the phase under the other engine too and panics if the
-// two runs' statistics diverge. The body is executed twice.
+// WithValidation runs the phase under the other engine too; if the two
+// runs' statistics diverge, the run's Err wraps ErrEngineDiverged. The body
+// is executed twice.
 func WithValidation() RunOption { return driver.WithValidation() }
 
-// WithFaults injects deterministic, seeded message faults for the phase and
-// enables the reliability protocol when the config calls for it. The fault
-// schedule depends only on the seed and each node's program order, so it is
-// identical under both engines.
-func WithFaults(fc FaultConfig) RunOption { return driver.WithFaults(fc) }
-
 // DefaultFaults returns a FaultConfig injecting message loss at the given
-// rate under the given seed, with the reliability protocol enabled.
+// rate under the given seed, with the reliability protocol enabled. Attach
+// it with MachineConfig.Faults; the schedule depends only on the seed and
+// each node's program order, so it is identical under both engines.
 func DefaultFaults(seed uint64, dropRate float64) FaultConfig {
 	return machine.DefaultFaults(seed, dropRate)
 }
 
 // RunPhase executes one SPMD phase: body runs on every simulated node with
 // its runtime instance; a barrier closes the phase. It returns per-node
-// cost breakdowns and merged runtime counters. Options select the engine,
-// enable tracing, or cross-validate the two engines. An invalid spec
-// returns a run whose Err wraps ErrBadSpec.
+// cost breakdowns and merged runtime counters. mcfg selects the engine and
+// enables tracing, faults and checkpoints; WithValidation cross-validates
+// the two engines. An invalid spec returns a run whose Err wraps
+// ErrBadSpec; an invalid machine config, one whose Err wraps the config
+// error (ErrBadEngine for a bad worker count).
 func RunPhase(mcfg MachineConfig, space *Space, spec Spec,
 	body func(rt Runtime, ep *Endpoint, nd *Node), opts ...RunOption) RunStats {
 	return driver.RunPhase(mcfg, space, spec, body, opts...)

@@ -23,12 +23,40 @@ func equivSpecs() []Spec {
 	return []Spec{DPASpec(8), DPASpec(8, WithPlanner()), CachingSpec(), BlockingSpec()}
 }
 
+// engineCase is one engine configuration a test sweeps: the engine kind
+// plus the parallel engine's worker count (0 = auto; ignored by
+// Sequential). Tests apply it to a machine config with on.
+type engineCase struct {
+	kind    EngineKind
+	workers int
+}
+
+var (
+	seqEngine = engineCase{kind: Sequential}
+	parEngine = engineCase{kind: Parallel}
+)
+
+// on returns mcfg set to run under e.
+func (e engineCase) on(mcfg MachineConfig) MachineConfig {
+	mcfg.Engine = e.kind
+	mcfg.EngineTuning = EngineTuning{Workers: e.workers}
+	return mcfg
+}
+
+// String names the case for subtests and failures, e.g. "parallel(workers=4)".
+func (e engineCase) String() string {
+	if e.kind == Parallel && e.workers > 0 {
+		return fmt.Sprintf("parallel(workers=%d)", e.workers)
+	}
+	return e.kind.String()
+}
+
 // equivEngines returns the engine configurations every equivalence suite
 // sweeps: the sequential baseline first, then the parallel engine at worker
 // counts 1, 2, NumCPU, and nodes (one simulated process per node),
 // deduplicated after clamping to [1, nodes]. Index 0 is always the baseline.
-func equivEngines(nodes int) []Engine {
-	engines := []Engine{Sequential()}
+func equivEngines(nodes int) []engineCase {
+	engines := []engineCase{seqEngine}
 	seen := map[int]bool{}
 	for _, w := range []int{1, 2, runtime.NumCPU(), nodes} {
 		if w > nodes {
@@ -38,7 +66,7 @@ func equivEngines(nodes int) []Engine {
 			continue
 		}
 		seen[w] = true
-		engines = append(engines, Parallel(Workers(w)))
+		engines = append(engines, engineCase{Parallel, w})
 	}
 	return engines
 }
@@ -102,12 +130,12 @@ func TestEngineEquivalenceTreesum(t *testing.T) {
 			runs := make([]RunStats, len(engines))
 			for i, eng := range engines {
 				res := pdg.NewResult()
-				runs[i] = RunPhase(DefaultT3D(nodes), space, spec,
+				runs[i] = RunPhase(eng.on(DefaultT3D(nodes)), space, spec,
 					func(rt Runtime, ep *Endpoint, nd *Node) {
 						if nd.ID() == 0 {
 							tpart.Run(compiled, rt, nd, res, root)
 						}
-					}, WithEngineValue(eng))
+					})
 				if res.Acc["sum"] != want.Acc["sum"] {
 					t.Fatalf("%v: sum %v, want %v", eng, res.Acc["sum"], want.Acc["sum"])
 				}
@@ -132,9 +160,7 @@ func TestEngineEquivalenceEM3D(t *testing.T) {
 			runs := make([]RunStats, len(engines))
 			vals := make([]string, len(engines))
 			for i, eng := range engines {
-				mcfg := DefaultT3D(nodes)
-				mcfg.Engine = eng.Kind()
-				mcfg.EngineTuning = eng.Tuning()
+				mcfg := eng.on(DefaultT3D(nodes))
 				run, g := em3d.RunIters(mcfg, spec, prm, iters)
 				runs[i] = run
 				e, h := g.Values()
@@ -168,6 +194,9 @@ func TestRunPhaseValidationOption(t *testing.T) {
 			}
 			rt.Drain()
 		}, WithValidation())
+	if run.Err != nil {
+		t.Fatalf("validated run: %v", run.Err)
+	}
 	if run.Makespan <= 0 {
 		t.Fatal("no progress")
 	}

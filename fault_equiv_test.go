@@ -63,14 +63,16 @@ func TestFaultEquivalenceTreesum(t *testing.T) {
 		t.Run(spec.String(), func(t *testing.T) {
 			var runs [2]RunStats
 			var sums [2]pdg.Value
-			for i, eng := range []Engine{Sequential(), Parallel()} {
+			for i, eng := range []engineCase{seqEngine, parEngine} {
 				res := pdg.NewResult()
-				runs[i] = RunPhase(DefaultT3D(nodes), space, spec,
+				mcfg := eng.on(DefaultT3D(nodes))
+				mcfg.Faults = fc
+				runs[i] = RunPhase(mcfg, space, spec,
 					func(rt Runtime, ep *Endpoint, nd *Node) {
 						if nd.ID() == 0 {
 							tpart.Run(compiled, rt, nd, res, root)
 						}
-					}, WithEngineValue(eng), WithFaults(fc))
+					})
 				sums[i] = res.Acc["sum"]
 			}
 			for i := range runs {
@@ -112,10 +114,8 @@ func TestFaultEquivalenceEM3D(t *testing.T) {
 
 	var runs [2]RunStats
 	var faultyVals [2]string
-	for i, eng := range []Engine{Sequential(), Parallel()} {
-		mcfg := DefaultT3D(nodes)
-		mcfg.Engine = eng.Kind()
-		mcfg.EngineTuning = eng.Tuning()
+	for i, eng := range []engineCase{seqEngine, parEngine} {
+		mcfg := eng.on(DefaultT3D(nodes))
 		mcfg.Faults = DefaultFaults(11, 0.05)
 		run, g := em3d.RunIters(mcfg, spec, prm, iters)
 		runs[i] = run
@@ -150,10 +150,8 @@ func TestFaultEquivalenceBarnesHut(t *testing.T) {
 	p := bh.DefaultParams()
 
 	var runs [2]RunStats
-	for i, eng := range []Engine{Sequential(), Parallel()} {
-		mcfg := DefaultT3D(nodes)
-		mcfg.Engine = eng.Kind()
-		mcfg.EngineTuning = eng.Tuning()
+	for i, eng := range []engineCase{seqEngine, parEngine} {
+		mcfg := eng.on(DefaultT3D(nodes))
 		mcfg.Faults = DefaultFaults(13, 0.05)
 		runs[i] = bh.RunSteps(mcfg, DPASpec(16), bodies, 1, p)
 		if runs[i].Err != nil {
@@ -170,25 +168,22 @@ func TestFaultEquivalenceBarnesHut(t *testing.T) {
 
 // TestStealDeterminismUnderFaults is the steal-path determinism check: a
 // faulty Barnes-Hut force phase must produce bit-identical run tables under
-// the sequential engine and under the parallel engine at two workers with
-// stealing on, stealing off, and at one worker per node — steal decisions
-// (and worker count) move host work only, never virtual-time results, even
-// when the fault schedule is exercising retransmission paths.
+// the sequential engine and under the parallel engine at two workers and at
+// one worker per node — steal decisions (and worker count) move host work
+// only, never virtual-time results, even when the fault schedule is
+// exercising retransmission paths.
 func TestStealDeterminismUnderFaults(t *testing.T) {
 	const nodes = 4
 	bodies := nbody.Plummer(256, 42)
 	p := bh.DefaultParams()
-	engines := []Engine{
-		Sequential(),
-		Parallel(Workers(2), Stealing(true)),
-		Parallel(Workers(2), Stealing(false)),
-		Parallel(Workers(nodes), Stealing(true)),
+	engines := []engineCase{
+		seqEngine,
+		{Parallel, 2},
+		{Parallel, nodes},
 	}
 	runs := make([]RunStats, len(engines))
 	for i, eng := range engines {
-		mcfg := DefaultT3D(nodes)
-		mcfg.Engine = eng.Kind()
-		mcfg.EngineTuning = eng.Tuning()
+		mcfg := eng.on(DefaultT3D(nodes))
 		mcfg.Faults = DefaultFaults(13, 0.05)
 		runs[i] = bh.RunSteps(mcfg, DPASpec(16), bodies, 1, p)
 		if runs[i].Err != nil {
@@ -213,10 +208,8 @@ func TestFaultJitterDeterminism(t *testing.T) {
 	}}
 
 	var runs [2]RunStats
-	for i, eng := range []Engine{Sequential(), Parallel()} {
-		mcfg := DefaultT3D(nodes)
-		mcfg.Engine = eng.Kind()
-		mcfg.EngineTuning = eng.Tuning()
+	for i, eng := range []engineCase{seqEngine, parEngine} {
+		mcfg := eng.on(DefaultT3D(nodes))
 		mcfg.Faults = fc
 		run, _ := em3d.RunIters(mcfg, DPASpec(8), prm, 1)
 		runs[i] = run
@@ -253,14 +246,16 @@ func TestExhaustedRetriesTypedError(t *testing.T) {
 		spec := spec
 		t.Run(spec.String(), func(t *testing.T) {
 			var runs [2]RunStats
-			for i, eng := range []Engine{Sequential(), Parallel()} {
-				runs[i] = RunPhase(DefaultT3D(nodes), space, spec,
+			for i, eng := range []engineCase{seqEngine, parEngine} {
+				mcfg := eng.on(DefaultT3D(nodes))
+				mcfg.Faults = fc
+				runs[i] = RunPhase(mcfg, space, spec,
 					func(rt Runtime, ep *Endpoint, nd *Node) {
 						for _, p := range ptrs {
 							rt.Spawn(p, func(o Object) {})
 						}
 						rt.Drain()
-					}, WithEngineValue(eng), WithFaults(fc))
+					})
 				if runs[i].Err == nil {
 					t.Fatalf("%v: expected degradation error at 100%% loss", eng)
 				}

@@ -93,10 +93,8 @@ func geFaults() []struct {
 	}
 }
 
-func geConfig(eng Engine, fc machine.FaultConfig) machine.Config {
-	mcfg := DefaultT3D(geNodes)
-	mcfg.Engine = eng.Kind()
-	mcfg.EngineTuning = eng.Tuning()
+func geConfig(eng engineCase, fc machine.FaultConfig) machine.Config {
+	mcfg := eng.on(DefaultT3D(geNodes))
 	mcfg.Faults = fc
 	return mcfg
 }
@@ -113,7 +111,7 @@ func TestGraphEngineEquivalence(t *testing.T) {
 				for _, spec := range geSpecs() {
 					spec := spec
 					t.Run(spec.String(), func(t *testing.T) {
-						engines := append(equivEngines(geNodes), Sequential()) // repeat the baseline
+						engines := append(equivEngines(geNodes), seqEngine) // repeat the baseline
 						runs := make([]stats.Run, len(engines))
 						results := make([]string, len(engines))
 						for i, eng := range engines {
@@ -168,7 +166,7 @@ func TestGraphCheckpointEquivalence(t *testing.T) {
 	for _, app := range apps {
 		app := app
 		t.Run(app.name, func(t *testing.T) {
-			base := app.run(ckConfig(Sequential(), false))
+			base := app.run(ckConfig(seqEngine, false))
 			if base.Err != nil {
 				t.Fatalf("fault-free run degraded: %v", base.Err)
 			}
@@ -177,7 +175,7 @@ func TestGraphCheckpointEquivalence(t *testing.T) {
 				t.Fatalf("degenerate makespan %d", base.Makespan)
 			}
 			snaps := make(map[string][]byte)
-			for _, eng := range []Engine{Sequential(), Parallel()} {
+			for _, eng := range []engineCase{seqEngine, parEngine} {
 				eng := eng
 				t.Run(eng.String(), func(t *testing.T) {
 					snapBytes, ckRun := captureAt(t, app, eng, false, at)
@@ -218,7 +216,7 @@ func TestGraphPriorZeroRefetches(t *testing.T) {
 	for _, app := range geApps() {
 		app := app
 		t.Run(app.name, func(t *testing.T) {
-			run, _ := app.run(geConfig(Sequential(), machine.FaultConfig{}),
+			run, _ := app.run(geConfig(seqEngine, machine.FaultConfig{}),
 				DPASpec(16, WithPlanner()))
 			if run.Err != nil {
 				t.Fatalf("run degraded: %v", run.Err)

@@ -13,7 +13,6 @@ import (
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/machine"
-	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
@@ -211,175 +210,44 @@ func (p *Protos) NewRuntime(spec Spec, ep *fm.EP, space *gptr.Space) (Runtime, e
 	panic("driver: unreachable kind " + string(spec.Kind)) // Validate rejected it
 }
 
-// Engine is a first-class engine selection: which simulation engine drives a
-// phase, plus the parallel engine's host-performance tuning. Build one with
-// Sequential or Parallel and pass it to RunPhase via WithEngineValue. The
-// zero value is the sequential engine.
-//
-// Every Engine produces bit-identical simulation results; the knobs carried
-// here (worker count, lookahead override, steal policy) affect only host
-// execution speed.
-type Engine struct {
-	kind   sim.EngineKind
-	tuning sim.Tuning
-}
-
-// EngineOption tunes an Engine built by Parallel.
-type EngineOption func(*Engine)
-
-// Sequential returns the sequential engine: one simulated node runs at a
-// time, in deterministic (wake, id) order. The baseline every other engine
-// must match bit for bit.
-func Sequential() Engine { return Engine{kind: sim.Sequential} }
-
-// Parallel returns the sharded work-stealing parallel engine with the given
-// tuning options. Defaults: worker count = min(GOMAXPROCS, nodes), lookahead
-// from the machine's minimum message delay, stealing on.
-func Parallel(opts ...EngineOption) Engine {
-	e := Engine{kind: sim.Parallel}
-	for _, o := range opts {
-		o(&e)
-	}
-	return e
-}
-
-// Workers sets the parallel engine's worker-shard count. 0 means auto
-// (min(GOMAXPROCS, nodes)); explicit values must be in [1, nodes] — out of
-// range is rejected by config validation with a *sim.TuningError.
-func Workers(n int) EngineOption { return func(e *Engine) { e.tuning.Workers = n } }
-
-// Lookahead overrides the conservative window width in cycles. It must be
-// positive and no larger than the machine's minimum cross-node message delay
-// (the default); narrower windows are safe but synchronize more often.
-func Lookahead(t sim.Time) EngineOption { return func(e *Engine) { e.tuning.Lookahead = t } }
-
-// Stealing enables or disables cross-shard work stealing (default on).
-// Stealing moves host work between workers mid-window; it never affects
-// virtual-time results.
-func Stealing(on bool) EngineOption {
-	return func(e *Engine) {
-		if on {
-			e.tuning.Steal = sim.StealOn
-		} else {
-			e.tuning.Steal = sim.StealOff
-		}
-	}
-}
-
-// Kind returns the underlying engine kind.
-func (e Engine) Kind() sim.EngineKind { return e.kind }
-
-// Tuning returns the engine's host-performance tuning.
-func (e Engine) Tuning() sim.Tuning { return e.tuning }
-
-// Validate checks the engine selection against a node count (see
-// sim.Tuning.Validate); pass nodes <= 0 when the count is not yet known.
-func (e Engine) Validate(nodes int) error {
-	if e.kind == sim.Sequential {
-		return nil
-	}
-	return e.tuning.Validate(nodes)
-}
-
-// String names the engine for table rows, e.g. "parallel(workers=4)".
-func (e Engine) String() string {
-	if e.kind == sim.Sequential {
-		return "sequential"
-	}
-	s := "parallel"
-	if e.tuning.Workers > 0 {
-		s += fmt.Sprintf("(workers=%d)", e.tuning.Workers)
-	}
-	return s
-}
-
-// RunOption adjusts how RunPhase executes a phase (engine choice, tracing,
-// cross-engine validation) without widening its signature.
+// RunOption adjusts how RunPhase executes a phase (cross-engine validation,
+// cross-phase history) without widening its signature. Everything about the
+// simulated machine — engine, tuning, tracing, faults, checkpoints — is set
+// on machine.Config.
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	engine     sim.EngineKind
-	tuning     sim.Tuning
-	engineSet  bool
-	traceBins  sim.Time
-	obs        *obs.Tracer
-	validate   bool
-	faults     machine.FaultConfig
-	faultsSet  bool
-	checkpoint *machine.CheckpointSpec
-	history    *History
-	phaseKind  string
-}
-
-// WithEngineValue selects the engine driving the phase as a first-class
-// value built by Sequential or Parallel.
-func WithEngineValue(e Engine) RunOption {
-	return func(rc *runConfig) {
-		rc.engine = e.kind
-		rc.tuning = e.tuning
-		rc.engineSet = true
-	}
-}
-
-// WithTrace enables activity-timeline recording with the given bin width in
-// cycles (see machine.Config.TraceBins).
-func WithTrace(binWidth sim.Time) RunOption {
-	return func(rc *runConfig) { rc.traceBins = binWidth }
-}
-
-// WithTracer attaches a structured observability tracer to the phase: per
-// node, coalesced charge spans plus discrete fetch/strip/fault/barrier
-// events, exportable as Chrome trace_event JSON (see the obs package). The
-// tracer must have been built for the machine's node count. One tracer may be
-// passed to several consecutive phases; each phase appends after the previous
-// one on a shared virtual timeline.
-func WithTracer(t *obs.Tracer) RunOption {
-	return func(rc *runConfig) { rc.obs = t }
+	validate  bool
+	history   *History
+	phaseKind string
 }
 
 // WithValidation runs the phase a second time under the other engine and
-// panics if the two runs' statistics diverge — a determinism check for the
-// engine pair. The body must be re-runnable: it is executed twice, so any
-// state it mutates outside the runtime (e.g. application arrays) is updated
-// twice.
+// records an error wrapping ErrEngineDiverged on the primary run if the two
+// runs' statistics differ — a determinism check for the engine pair. The
+// body must be re-runnable: it is executed twice, so any state it mutates
+// outside the runtime (e.g. application arrays) is updated twice.
 func WithValidation() RunOption {
 	return func(rc *runConfig) { rc.validate = true }
-}
-
-// WithFaults injects deterministic message faults (and, when the config
-// calls for it, enables the fm reliability protocol) for the phase. The
-// fault schedule is a pure function of the config's seed and each node's
-// program order, so it is identical under both engines.
-func WithFaults(fc machine.FaultConfig) RunOption {
-	return func(rc *runConfig) { rc.faults = fc; rc.faultsSet = true }
-}
-
-// WithCheckpoint arms a deterministic checkpoint (or, when spec.Verify is
-// set, a restore verification) on the phase. The spec is a cross-phase
-// cursor: pass the same spec to every phase of a multi-phase run and the
-// boundary fires in whichever phase spec.At (cumulative virtual time) falls.
-// At the boundary — the first scheduling decision at which every simulated
-// process's next event is at or beyond the target time — the driver captures
-// engine, machine, fm, and runtime state into a sim.Snapshot and hands it to
-// spec.Deliver. In verify mode the re-capture is diffed against spec.Verify
-// and a *sim.SnapshotDivergedError is both delivered and recorded on the
-// run's error chain. Not composable with WithValidation: the cross-engine
-// check run executes without the checkpoint so Deliver fires exactly once.
-func WithCheckpoint(spec *machine.CheckpointSpec) RunOption {
-	return func(rc *runConfig) { rc.checkpoint = spec }
 }
 
 // ErrBadSpec is wrapped by the Err of a Run whose Spec failed validation;
 // test with errors.Is. Such a run simulates nothing.
 var ErrBadSpec = errors.New("driver: invalid spec")
 
+// ErrEngineDiverged is wrapped by the Err of a run made WithValidation whose
+// check run under the other engine produced different statistics; the
+// message carries the diff. The primary run's results are still returned.
+var ErrEngineDiverged = errors.New("driver: engine validation failed")
+
 // RunPhase executes one SPMD phase: body runs on every node with its
 // runtime; a barrier closes the phase (nodes keep serving until everyone is
 // done). The returned Run has per-node breakdowns and merged runtime
-// counters. Options select the engine, enable tracing, or cross-validate the
-// engines; with no options the phase runs exactly as configured by mcfg. A
-// spec that fails validation returns an empty Run whose Err wraps
-// ErrBadSpec.
+// counters. mcfg alone picks the engine and its tuning, tracing, faults and
+// checkpoints; options only cross-validate the engines or carry a
+// multi-phase history. A spec or machine config that fails validation
+// returns an empty Run whose Err wraps ErrBadSpec or the config error
+// (a *sim.TuningError for a bad worker count).
 func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	body func(rt Runtime, ep *fm.EP, nd *machine.Node), opts ...RunOption) stats.Run {
 
@@ -387,24 +255,11 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	for _, o := range opts {
 		o(&rc)
 	}
-	if rc.engineSet {
-		mcfg.Engine = rc.engine
-		mcfg.EngineTuning = rc.tuning
-	}
-	if rc.traceBins > 0 {
-		mcfg.TraceBins = rc.traceBins
-	}
-	if rc.obs != nil {
-		mcfg.Obs = rc.obs
-	}
-	if rc.faultsSet {
-		mcfg.Faults = rc.faults
-	}
-	if rc.checkpoint != nil {
-		mcfg.Checkpoint = rc.checkpoint
-	}
 	if err := spec.Validate(); err != nil {
 		return stats.Run{Err: fmt.Errorf("%w: %w", ErrBadSpec, err)}
+	}
+	if err := mcfg.Validate(); err != nil {
+		return stats.Run{Err: err}
 	}
 	// The validation run must see the same pre-phase history as the
 	// primary run without the two folding into one, so it gets a deep copy
@@ -426,10 +281,13 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 		} else {
 			other.Engine = sim.Parallel
 		}
+		if err := other.Validate(); err != nil {
+			run.AddErr(fmt.Errorf("driver: validation engine %v: %w", other.Engine, err))
+			return run
+		}
 		check := runOnce(other, space, spec, body, checkHist, rc.phaseKind)
 		if diff := run.Diff(check); diff != "" {
-			panic(fmt.Sprintf("driver: engine validation failed (%v vs %v): %s",
-				mcfg.Engine, other.Engine, diff))
+			run.AddErr(fmt.Errorf("%w (%v vs %v): %s", ErrEngineDiverged, mcfg.Engine, other.Engine, diff))
 		}
 	}
 	return run

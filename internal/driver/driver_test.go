@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"dpa/internal/fm"
@@ -107,36 +108,8 @@ func TestRunPhaseMergesAllNodes(t *testing.T) {
 	}
 }
 
-// TestEngineValues covers the first-class Engine API: constructors, option
-// folding, validation, and naming.
-func TestEngineValues(t *testing.T) {
-	if e := Sequential(); e.Kind() != sim.Sequential || e.String() != "sequential" {
-		t.Fatalf("Sequential() = %v (%s)", e.Kind(), e)
-	}
-	e := Parallel(Workers(4), Lookahead(100), Stealing(false))
-	if e.Kind() != sim.Parallel {
-		t.Fatal("Parallel() kind")
-	}
-	tn := e.Tuning()
-	if tn.Workers != 4 || tn.Lookahead != 100 || tn.Steal != sim.StealOff {
-		t.Fatalf("tuning not folded: %+v", tn)
-	}
-	if e.String() != "parallel(workers=4)" {
-		t.Fatalf("String() = %q", e.String())
-	}
-	if Parallel(Stealing(true)).Tuning().Steal != sim.StealOn {
-		t.Fatal("Stealing(true) not folded")
-	}
-	if err := Parallel(Workers(8)).Validate(4); !errors.Is(err, sim.ErrBadTuning) {
-		t.Fatalf("Validate(4) with 8 workers: err = %v, want ErrBadTuning", err)
-	}
-	if err := Sequential().Validate(0); err != nil {
-		t.Fatalf("sequential Validate: %v", err)
-	}
-}
-
-// TestRunPhaseEngineValue runs the same phase under WithEngineValue
-// configurations; all must agree.
+// TestRunPhaseEngineValue runs the same phase under every engine
+// configuration machine.Config can select; all must agree.
 func TestRunPhaseEngineValue(t *testing.T) {
 	const nodes = 4
 	space := gptr.NewSpace(nodes)
@@ -144,26 +117,25 @@ func TestRunPhaseEngineValue(t *testing.T) {
 	for i := range ptrs {
 		ptrs[i] = space.Alloc(i, thing{id: i})
 	}
-	phase := func(opt RunOption) stats.Run {
-		return RunPhase(machine.DefaultT3D(nodes), space, DPASpec(10),
+	phase := func(kind sim.EngineKind, workers int) stats.Run {
+		mcfg := machine.DefaultT3D(nodes)
+		mcfg.Engine = kind
+		mcfg.EngineTuning = sim.Tuning{Workers: workers}
+		return RunPhase(mcfg, space, DPASpec(10),
 			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
 				for _, p := range ptrs {
 					rt.Spawn(p, func(o gptr.Object) {})
 				}
 				rt.Drain()
-			}, opt)
+			})
 	}
-	base := phase(WithEngineValue(Sequential()))
-	for _, opt := range []RunOption{
-		WithEngineValue(Parallel()),
-		WithEngineValue(Parallel(Workers(2))),
-		WithEngineValue(Parallel(Workers(nodes), Stealing(false))),
-	} {
-		if diff := base.Diff(phase(opt)); diff != "" {
-			t.Fatalf("engine value run diverges from sequential: %s", diff)
+	base := phase(sim.Sequential, 0)
+	for _, workers := range []int{0, 2, nodes} {
+		if diff := base.Diff(phase(sim.Parallel, workers)); diff != "" {
+			t.Fatalf("parallel workers=%d diverges from sequential: %s", workers, diff)
 		}
 	}
-	par := phase(WithEngineValue(Parallel(Workers(2))))
+	par := phase(sim.Parallel, 2)
 	if par.Host == nil || par.Host.Workers != 2 {
 		t.Fatalf("parallel run host counters = %+v, want 2 workers", par.Host)
 	}
@@ -173,23 +145,54 @@ func TestRunPhaseEngineValue(t *testing.T) {
 }
 
 // TestRunPhaseRejectsBadTuning: an out-of-range worker count must surface as
-// a typed-config panic at machine construction, not a hang or a panic deep
-// in internal/sim.
+// a typed error on a run that simulated nothing, not a panic or a hang.
 func TestRunPhaseRejectsBadTuning(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic for workers > nodes")
-		}
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, sim.ErrBadTuning) {
-			t.Fatalf("panic %v, want an ErrBadTuning error", r)
-		}
-	}()
 	space := gptr.NewSpace(2)
-	RunPhase(machine.DefaultT3D(2), space, DPASpec(10),
-		func(rt Runtime, ep *fm.EP, nd *machine.Node) {},
-		WithEngineValue(Parallel(Workers(3))))
+	mcfg := machine.DefaultT3D(2)
+	mcfg.Engine = sim.Parallel
+	mcfg.EngineTuning.Workers = 3
+	ran := false
+	run := RunPhase(mcfg, space, DPASpec(10),
+		func(rt Runtime, ep *fm.EP, nd *machine.Node) { ran = true })
+	if !errors.Is(run.Err, sim.ErrBadTuning) {
+		t.Fatalf("Err = %v, want an ErrBadTuning error", run.Err)
+	}
+	if ran || len(run.Nodes) != 0 {
+		t.Fatal("rejected config still simulated the phase")
+	}
+}
+
+// TestRunPhaseValidationDiverged: a body that charges differently on its
+// second execution makes the WithValidation check run diverge, which must
+// surface as ErrEngineDiverged on the primary run rather than a panic.
+func TestRunPhaseValidationDiverged(t *testing.T) {
+	const nodes = 2
+	var calls atomic.Int64
+	run := RunPhase(machine.DefaultT3D(nodes), gptr.NewSpace(nodes), DPASpec(10),
+		func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+			// The first nodes calls are the primary run, the rest the check.
+			n := calls.Add(1) - 1
+			nd.Charge(sim.Compute, sim.Time(100+100*(n/nodes)))
+		}, WithValidation())
+	if calls.Load() != 2*nodes {
+		t.Fatalf("body ran %d times, want %d", calls.Load(), 2*nodes)
+	}
+	if !errors.Is(run.Err, ErrEngineDiverged) {
+		t.Fatalf("Err = %v, want ErrEngineDiverged", run.Err)
+	}
+	if len(run.Nodes) != nodes {
+		t.Fatalf("primary run has %d node breakdowns, want %d", len(run.Nodes), nodes)
+	}
+
+	// A machine the parallel engine cannot run (zero lookahead) keeps the
+	// sequential primary run and reports the check engine's config error.
+	mcfg := machine.DefaultT3D(nodes)
+	mcfg.SendOverhead, mcfg.LatencyBase = 0, 0
+	run = RunPhase(mcfg, gptr.NewSpace(nodes), DPASpec(10),
+		func(rt Runtime, ep *fm.EP, nd *machine.Node) {}, WithValidation())
+	if run.Err == nil || len(run.Nodes) != nodes {
+		t.Fatalf("zero-lookahead validation: Err = %v, %d nodes", run.Err, len(run.Nodes))
+	}
 }
 
 func TestRunPhaseCrossTraffic(t *testing.T) {

@@ -74,10 +74,9 @@ type Config struct {
 	// machine's minimum message delay.
 	Engine sim.EngineKind
 
-	// EngineTuning carries the parallel engine's host-performance knobs
-	// (worker count, lookahead override, steal policy). The zero value means
-	// all defaults; the sequential engine ignores it. None of the knobs
-	// affect simulation results — only host execution.
+	// EngineTuning carries the parallel engine's host-performance knob, its
+	// worker count. The zero value means the default; the sequential engine
+	// ignores it. It never affects simulation results — only host execution.
 	EngineTuning sim.Tuning
 
 	// Faults configures deterministic fault injection and the fm
@@ -155,16 +154,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: parallel engine requires SendOverhead+LatencyBase > 0 (lookahead = %d)", c.Lookahead())
 	}
 	// Engine tuning is validated here with typed errors (*sim.TuningError,
-	// errors.Is-matchable via sim.ErrBadTuning) so bad worker counts or
-	// lookahead overrides are rejected at configuration time instead of
-	// panicking deep inside internal/sim. Nodes is the process count: one
-	// simulated process per node.
+	// errors.Is-matchable via sim.ErrBadTuning) so a bad worker count is
+	// rejected at configuration time instead of deep inside internal/sim.
+	// Nodes is the process count: one simulated process per node.
 	if err := c.EngineTuning.Validate(c.Nodes); err != nil {
 		return err
-	}
-	if c.Engine == sim.Parallel && c.EngineTuning.Lookahead > c.Lookahead() {
-		return &sim.TuningError{Field: "lookahead", Value: int64(c.EngineTuning.Lookahead),
-			Reason: fmt.Sprintf("exceeds the machine's minimum message delay %d", c.Lookahead())}
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -241,17 +235,19 @@ var ErrRunTwice = fmt.Errorf("machine: Run called twice")
 //
 // Panic contract (intentional): New panics on an invalid configuration.
 // Configs reach New through our own code paths (DefaultT3D plus field
-// tweaks, or the driver, which validates specs up front), so a rejected
-// config here is a programming bug, not an input error — fail loudly at the
-// construction site rather than propagating an error through every caller.
+// tweaks, or the driver, which validates the config up front and returns
+// the error on the run), so a rejected config here is a programming bug,
+// not an input error — fail loudly at the construction site rather than
+// propagating an error through every caller.
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng, err := sim.NewEngineWith(cfg.Engine, cfg.Lookahead(), cfg.EngineTuning)
-	if err != nil {
-		// Unreachable after Validate, which checks the same tuning bounds.
-		panic(err)
+	var eng sim.Engine
+	if cfg.Engine == sim.Parallel {
+		eng = sim.NewParallelTuned(cfg.Lookahead(), cfg.EngineTuning)
+	} else {
+		eng = sim.NewEngine()
 	}
 	m := &Machine{
 		Cfg:  cfg,

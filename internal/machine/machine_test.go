@@ -114,13 +114,6 @@ func TestValidateEngineTuning(t *testing.T) {
 	bad := []Config{
 		func() Config { c := DefaultT3D(4); c.EngineTuning.Workers = -1; return c }(),
 		func() Config { c := DefaultT3D(4); c.EngineTuning.Workers = 5; return c }(), // > nodes
-		func() Config { c := DefaultT3D(4); c.EngineTuning.Lookahead = -10; return c }(),
-		func() Config {
-			c := DefaultT3D(4)
-			c.Engine = sim.Parallel
-			c.EngineTuning.Lookahead = c.Lookahead() + 1 // wider than the machine window
-			return c
-		}(),
 	}
 	for i, cfg := range bad {
 		err := cfg.Validate()
@@ -135,15 +128,16 @@ func TestValidateEngineTuning(t *testing.T) {
 
 	good := DefaultT3D(4)
 	good.Engine = sim.Parallel
-	good.EngineTuning = sim.Tuning{Workers: 2, Lookahead: good.Lookahead() - 1, Steal: sim.StealOff}
+	good.EngineTuning = sim.Tuning{Workers: 2}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid tuning rejected: %v", err)
 	}
 }
 
-// TestMachineRunWithTuning runs a machine under explicit tuning and checks
-// results match the default parallel configuration, and that the host
-// scheduling counters are exposed.
+// TestMachineRunWithTuning pins New's engine selection from Config.Engine —
+// only the parallel engine reports worker stats — and checks that a run
+// under explicit tuning matches the sequential one and exposes the host
+// scheduling counters.
 func TestMachineRunWithTuning(t *testing.T) {
 	body := func(n *Node) {
 		if n.ID()%2 == 0 {
@@ -169,6 +163,14 @@ func TestMachineRunWithTuning(t *testing.T) {
 	seqClocks, seqWS, _ := run(seqCfg)
 	if seqWS != nil {
 		t.Fatal("sequential engine reported worker stats")
+	}
+	autoCfg := DefaultT3D(4)
+	autoCfg.Engine = sim.Parallel
+	if _, autoWS, _ := run(autoCfg); autoWS == nil {
+		t.Fatal("Engine = Parallel did not build the parallel engine")
+	}
+	if sim.Sequential.String() != "sequential" || sim.Parallel.String() != "parallel" {
+		t.Fatal("EngineKind.String")
 	}
 
 	parCfg := DefaultT3D(4)

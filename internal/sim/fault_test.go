@@ -301,7 +301,7 @@ func TestWaitMessageUntilEngineEquivalence(t *testing.T) {
 	seqE := NewEngine()
 	pSeq := build(seqE)
 	seqE.Run()
-	parE := NewParallel(50)
+	parE := NewParallelTuned(50, Tuning{})
 	pPar := build(parE)
 	parE.Run()
 	if pSeq.Now() != pPar.Now() {

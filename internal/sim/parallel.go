@@ -27,8 +27,7 @@ import (
 // at any instant — the Go scheduler maps them onto W cores without the
 // goroutine thrash of waking every admitted process at once.
 //
-// When a chain exhausts its own run queue and stealing is enabled, it steals
-// the tail of the heaviest remaining run queue and keeps running; a chain
+// When a chain exhausts its own run queue, it steals the tail of the heaviest remaining run queue and keeps running; a chain
 // dies only when every shard's run queue is empty. The last chain to die
 // opens the next window itself.
 //
@@ -66,7 +65,6 @@ type ParEngine struct {
 	lookahead Time
 	tuning    Tuning
 	workers   int // resolved at Run
-	stealing  bool
 	shards    []*parShard
 	// active counts chains still running in the current window. The final
 	// decrement's atomicity orders every chain's shard writes before the
@@ -136,35 +134,22 @@ func (sh *parShard) take(steal bool) *Proc {
 	return q
 }
 
-// NewParallel returns an empty parallel engine with the given lookahead (the
-// machine's minimum cross-process message delay, in cycles) and default
-// tuning: worker count from GOMAXPROCS, stealing on. The lookahead must be
-// positive: with zero lookahead no two processes can ever be safely
-// coscheduled and the sequential engine should be used instead.
+// NewParallelTuned returns an empty parallel engine with the given lookahead
+// (the machine's minimum cross-process message delay, in cycles) and tuning
+// (worker count; 0 = from GOMAXPROCS). The lookahead must be positive: with
+// zero lookahead no two processes can ever be safely coscheduled and the
+// sequential engine should be used instead. The tuning's workers-vs-procs
+// bound is checked at Run, when the process count is known.
 //
 // Panic contract (intentional, mirrored by machine.New): a non-positive
 // lookahead here is a programming bug in the caller, not an input error.
-// Input-level validation with typed errors lives in Tuning.Validate and
-// NewEngineWith.
-func NewParallel(lookahead Time) *ParEngine {
+// Input-level validation with typed errors lives in machine.Config.Validate.
+func NewParallelTuned(lookahead Time, t Tuning) *ParEngine {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: parallel engine requires positive lookahead, got %d", lookahead))
 	}
-	return &ParEngine{lookahead: lookahead}
+	return &ParEngine{lookahead: lookahead, tuning: t}
 }
-
-// NewParallelTuned is NewParallel with explicit tuning (worker count, steal
-// policy; Tuning.Lookahead must already be resolved into lookahead — see
-// NewEngineWith). The tuning's workers-vs-procs bound is checked at Run,
-// when the process count is known.
-func NewParallelTuned(lookahead Time, t Tuning) *ParEngine {
-	e := NewParallel(lookahead)
-	e.tuning = t
-	return e
-}
-
-// Lookahead returns the engine's lookahead window width in cycles.
-func (e *ParEngine) Lookahead() Time { return e.lookahead }
 
 // Workers returns the resolved worker count (0 before Run).
 func (e *ParEngine) Workers() int { return e.workers }
@@ -251,13 +236,13 @@ func (e *ParEngine) lowered(q *Proc) {
 }
 
 // continueChain hands this chain of control to the next admitted process:
-// the home shard's run-queue head, else (stealing) the heaviest victim's
-// tail. When every run queue is empty the chain dies; the last chain opens
-// the next window. The return value follows scheduler.park: true means the
+// the home shard's run-queue head, else the heaviest victim's tail. When
+// every run queue is empty the chain dies; the last chain opens the next
+// window. The return value follows scheduler.park: true means the
 // calling process should keep running.
 func (e *ParEngine) continueChain(home *parShard, self *Proc) bool {
 	q := home.take(false)
-	if q == nil && e.stealing {
+	if q == nil {
 		q = e.steal(home)
 	}
 	if q != nil {
@@ -457,7 +442,6 @@ func (e *ParEngine) Run() (Time, error) {
 		return 0, err
 	}
 	e.workers = e.tuning.resolveWorkers(len(e.procs))
-	e.stealing = e.tuning.Steal.enabled()
 	// One slab for all shard structs (the cache-line pad in parShard keeps
 	// neighbors apart within it), pointers into the slab everywhere else.
 	shardSlab := make([]parShard, e.workers)
@@ -509,7 +493,7 @@ func (e *ParEngine) arenaShards() {
 		for i, p := range sh.heap {
 			if p.mailbox.size() == 0 {
 				off := i * ringSeed
-				p.mailbox.ring = slab[off:off : off+ringSeed]
+				p.mailbox.ring = slab[off : off : off+ringSeed]
 				p.mailbox.head = 0
 			}
 		}
@@ -526,14 +510,4 @@ func (e *ParEngine) CheckpointAt(at Time, fn func()) {
 		panic("sim: CheckpointAt requires a positive time")
 	}
 	e.ckAt, e.ckFn = at, fn
-}
-
-// NewEngineOf returns an engine of the given kind with default tuning. The
-// lookahead is only used by the parallel engine. See NewEngineWith for the
-// tuned, error-returning variant.
-func NewEngineOf(kind EngineKind, lookahead Time) Engine {
-	if kind == Parallel {
-		return NewParallel(lookahead)
-	}
-	return NewEngine()
 }

@@ -14,7 +14,7 @@ func TestMessagePathZeroAllocs(t *testing.T) {
 	for _, kind := range []EngineKind{Sequential, Parallel} {
 		t.Run(kind.String(), func(t *testing.T) {
 			var allocs float64
-			e := NewEngineOf(kind, 10)
+			e := engineOf(kind, 10)
 			e.Spawn(func(p *Proc) {
 				step := func() {
 					p.Charge(Compute, 1)
@@ -160,7 +160,7 @@ func BenchmarkEpochBarrier(b *testing.B) {
 	for _, procs := range []int{4, 16} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			const window = 10
-			e := NewParallel(window)
+			e := NewParallelTuned(window, Tuning{})
 			for i := 0; i < procs; i++ {
 				e.Spawn(func(p *Proc) {
 					for n := 0; n < b.N; n++ {

@@ -6,9 +6,9 @@ import (
 )
 
 // TestWorkerCountsMatchSequential sweeps the sharded engine's worker count
-// (including stealing off) over the broadcast workload: every configuration
-// must reproduce the sequential run bit for bit — worker count and steal
-// policy move host work, never virtual-time results.
+// over the broadcast workload: every configuration must reproduce the
+// sequential run bit for bit — the worker count and steal timing move host
+// work, never virtual-time results.
 func TestWorkerCountsMatchSequential(t *testing.T) {
 	const n = 8
 	const delay = 50
@@ -24,20 +24,19 @@ func TestWorkerCountsMatchSequential(t *testing.T) {
 		{Workers: 2},
 		{Workers: 3}, // uneven shards: 8 procs over 3 workers
 		{Workers: n},
-		{Workers: 2, Steal: StealOff},
 		{}, // auto
 	}
 	for _, tn := range tunings {
 		par := NewParallelTuned(delay, tn)
 		build(par)
 		if _, err := par.Run(); err != nil {
-			t.Fatalf("workers=%d steal=%v: %v", tn.Workers, tn.Steal, err)
+			t.Fatalf("workers=%d: %v", tn.Workers, err)
 		}
 		got := snapshot(par)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d steal=%v: proc %d diverges:\n  seq: %s\n  par: %s",
-					tn.Workers, tn.Steal, i, want[i], got[i])
+				t.Fatalf("workers=%d: proc %d diverges:\n  seq: %s\n  par: %s",
+					tn.Workers, i, want[i], got[i])
 			}
 		}
 		if w := par.Workers(); tn.Workers > 0 && w != tn.Workers {
@@ -134,21 +133,6 @@ func TestShardedStealing(t *testing.T) {
 		}
 	}
 	t.Errorf("no cross-shard steals in 5 imbalanced runs; steal path looks dead")
-}
-
-// TestShardedStealingOffNeverSteals pins the StealOff policy: shard chains
-// must only serve their own run queues.
-func TestShardedStealingOffNeverSteals(t *testing.T) {
-	par := NewParallelTuned(20, Tuning{Workers: 2, Steal: StealOff})
-	stealWorkload(50, 20)(par)
-	if _, err := par.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range par.WorkerStats() {
-		if w.Steals != 0 || w.Stolen != 0 {
-			t.Fatalf("steal counters non-zero with stealing off: %+v", w)
-		}
-	}
 }
 
 // TestCrossWorkerMessagePathZeroAllocs pins the cross-worker host contract:
@@ -321,12 +305,9 @@ func TestTuningValidate(t *testing.T) {
 		bad   bool
 	}{
 		{"zero is valid", Tuning{}, 8, false},
-		{"explicit in range", Tuning{Workers: 4, Lookahead: 5, Steal: StealOn}, 8, false},
+		{"explicit in range", Tuning{Workers: 4}, 8, false},
 		{"negative workers", Tuning{Workers: -1}, 8, true},
 		{"workers exceed procs", Tuning{Workers: 9}, 8, true},
-		{"workers unchecked without procs", Tuning{Workers: 9}, 0, false},
-		{"negative lookahead", Tuning{Lookahead: -5}, 8, true},
-		{"unknown steal policy", Tuning{Steal: StealPolicy(9)}, 8, true},
 	}
 	for _, c := range cases {
 		err := c.t.Validate(c.procs)
@@ -348,38 +329,6 @@ func TestTuningValidate(t *testing.T) {
 	}
 }
 
-// TestNewEngineWith covers the error-returning tuned constructor, including
-// the lookahead-override bound.
-func TestNewEngineWith(t *testing.T) {
-	if e, err := NewEngineWith(Sequential, 0, Tuning{}); err != nil {
-		t.Fatal(err)
-	} else if _, ok := e.(*SeqEngine); !ok {
-		t.Fatal("sequential kind did not produce a SeqEngine")
-	}
-
-	e, err := NewEngineWith(Parallel, 550, Tuning{Lookahead: 100, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, ok := e.(*ParEngine)
-	if !ok {
-		t.Fatal("parallel kind did not produce a ParEngine")
-	}
-	if pe.Lookahead() != 100 {
-		t.Fatalf("lookahead override not applied: %d", pe.Lookahead())
-	}
-
-	if _, err := NewEngineWith(Parallel, 550, Tuning{Lookahead: 600}); !errors.Is(err, ErrBadTuning) {
-		t.Fatalf("override wider than the machine window: err = %v, want ErrBadTuning", err)
-	}
-	if _, err := NewEngineWith(Parallel, 0, Tuning{}); !errors.Is(err, ErrBadTuning) {
-		t.Fatalf("non-positive lookahead: err = %v, want ErrBadTuning", err)
-	}
-	if _, err := NewEngineWith(Parallel, 10, Tuning{Workers: -3}); !errors.Is(err, ErrBadTuning) {
-		t.Fatalf("negative workers: err = %v, want ErrBadTuning", err)
-	}
-}
-
 // TestRunRejectsWorkersBeyondProcs pins the Run-time recheck of the
 // workers-vs-procs bound (the proc count is only known at Run).
 func TestRunRejectsWorkersBeyondProcs(t *testing.T) {
@@ -394,13 +343,6 @@ func TestRunRejectsWorkersBeyondProcs(t *testing.T) {
 	var te *TuningError
 	if !errors.As(err, &te) || te.Field != "workers" {
 		t.Fatalf("err = %v, want a workers *TuningError", err)
-	}
-}
-
-// TestStealPolicyString covers the policy names used by flags and tables.
-func TestStealPolicyString(t *testing.T) {
-	if StealAuto.String() != "auto" || StealOn.String() != "on" || StealOff.String() != "off" {
-		t.Fatal("StealPolicy.String")
 	}
 }
 

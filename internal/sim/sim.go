@@ -7,7 +7,9 @@
 // only by posting timestamped messages into each other's mailboxes.
 //
 // Two engines drive the processes, both conservative and both producing
-// bit-identical results:
+// bit-identical results. Simulations built by the machine package get the
+// one that machine.Config.Engine names; the only tuning is the parallel
+// engine's worker count (Tuning.Workers):
 //
 //   - The sequential engine (NewEngine) executes exactly one process at a
 //     time, always resuming the process with the smallest wake-up time. The
@@ -15,15 +17,15 @@
 //     passes directly from the yielding process to the next one — the
 //     scheduling decision is O(log P) and costs a single goroutine hand-off
 //     (or none at all, when the yielding process is still the earliest).
-//   - The parallel engine (NewParallel) is a sharded work-stealing
+//   - The parallel engine (NewParallelTuned) is a sharded work-stealing
 //     scheduler: processes are partitioned across W worker shards, each
 //     owning its own (wake, id) min-heap, and every process whose next event
-//     falls inside the conservative lookahead window runs truly in parallel
-//     with the rest of its window. Idle workers steal runnable processes
-//     from the heaviest shard, and the window turnover is decentralized —
-//     the last running chain of control recomputes the horizon itself with
-//     a min-reduction over the W shard heaps, never a stop-the-world scan
-//     over all P processes.
+//     falls inside the conservative lookahead window (the machine's minimum
+//     message delay) runs truly in parallel with the rest of its window.
+//     Idle workers always steal runnable processes from the heaviest shard,
+//     and the window turnover is decentralized — the last running chain of
+//     control recomputes the horizon itself with a min-reduction over the W
+//     shard heaps, never a stop-the-world scan over all P processes.
 //
 // Determinism across engines rests on one rule: mailbox delivery is ordered
 // by (arrival time, sender id, per-sender sequence number), which is a total

@@ -231,9 +231,18 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// engineOf returns an empty engine of the given kind; lookahead is used
+// only by the parallel engine.
+func engineOf(kind EngineKind, lookahead Time) Engine {
+	if kind == Parallel {
+		return NewParallelTuned(lookahead, Tuning{})
+	}
+	return NewEngine()
+}
+
 func TestDeadlockReturnsTypedError(t *testing.T) {
 	for _, kind := range []EngineKind{Sequential, Parallel} {
-		e := NewEngineOf(kind, 10)
+		e := engineOf(kind, 10)
 		e.Spawn(func(p *Proc) { p.WaitMessage() })
 		e.Spawn(func(p *Proc) { p.WaitMessage() })
 		_, err := e.Run()

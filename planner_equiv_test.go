@@ -23,9 +23,7 @@ func determinismRuns(t *testing.T, name string, faults bool, run func(MachineCon
 	var refName string
 	for _, eng := range equivEngines(4) {
 		for rep := 0; rep < 2; rep++ {
-			mcfg := DefaultT3D(4)
-			mcfg.Engine = eng.Kind()
-			mcfg.EngineTuning = eng.Tuning()
+			mcfg := eng.on(DefaultT3D(4))
 			if faults {
 				mcfg.Faults = DefaultFaults(7, 0.05)
 			}

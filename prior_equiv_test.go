@@ -94,7 +94,7 @@ func TestPriorWarmStartsSecondPhase(t *testing.T) {
 func TestPriorCrashDeterminism(t *testing.T) {
 	app := ckApps()[3] // em3d-prior
 	runs := make([]stats.Run, 0, 3)
-	for _, eng := range []Engine{Sequential(), Sequential(), Parallel()} {
+	for _, eng := range []engineCase{seqEngine, seqEngine, parEngine} {
 		runs = append(runs, app.run(ckConfig(eng, true)))
 	}
 	for i := 1; i < len(runs); i++ {
