@@ -91,6 +91,12 @@ var ErrBadSpec = driver.ErrBadSpec
 // run's Err carries the diff.
 var ErrEngineDiverged = driver.ErrEngineDiverged
 
+// ErrDeadlock is the sentinel matched by errors.Is when the engine found
+// every simulated process blocked with no message in flight. RunPhase
+// returns the partial run with a *sim.DeadlockError, carrying a
+// per-process state dump, in its Err.
+var ErrDeadlock = sim.ErrDeadlock
+
 // ErrBadEngine is the sentinel matched by errors.Is for rejected engine
 // tuning (worker count out of [1, nodes]). RunPhase returns a run that
 // simulates nothing with an Err wrapping it.

@@ -247,7 +247,8 @@ var ErrEngineDiverged = errors.New("driver: engine validation failed")
 // checkpoints; options only cross-validate the engines or carry a
 // multi-phase history. A spec or machine config that fails validation
 // returns an empty Run whose Err wraps ErrBadSpec or the config error
-// (a *sim.TuningError for a bad worker count).
+// (a *sim.TuningError for a bad worker count). An engine deadlock returns
+// the partial Run with a *sim.DeadlockError (sim.ErrDeadlock) in its Err.
 func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	body func(rt Runtime, ep *fm.EP, nd *machine.Node), opts ...RunOption) stats.Run {
 
@@ -345,13 +346,6 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 		ep.Barrier()
 		ep.Quiesce()
 	})
-	if engErr != nil && !mcfg.Faults.Active() {
-		// Without fault injection a deadlock is a runtime bug; fail loudly
-		// as before. Under faults it is a legitimate degraded outcome
-		// (e.g. a node blocked on a peer that declared it unreachable) and
-		// is surfaced through the run result instead.
-		panic(engErr)
-	}
 	ck.Advance(makespan)
 	run := stats.Collect(m, makespan)
 	run.AddErr(engErr)

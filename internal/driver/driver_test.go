@@ -195,6 +195,30 @@ func TestRunPhaseValidationDiverged(t *testing.T) {
 	}
 }
 
+// TestRunPhaseDeadlockIsTypedError: on a fault-free machine, node 0 keeps
+// waiting for a message after the others' barrier arrivals, and nobody
+// sends one while they block in the closing barrier. Both engines must
+// return the run with a *sim.DeadlockError in its Err instead of panicking.
+func TestRunPhaseDeadlockIsTypedError(t *testing.T) {
+	const nodes = 3
+	for _, kind := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
+		mcfg := machine.DefaultT3D(nodes)
+		mcfg.Engine = kind
+		run := RunPhase(mcfg, gptr.NewSpace(nodes), DPASpec(10),
+			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+				for nd.ID() == 0 {
+					ep.WaitAndDispatch()
+				}
+			})
+		if !errors.Is(run.Err, sim.ErrDeadlock) {
+			t.Fatalf("%v: Err = %v, want an ErrDeadlock error", kind, run.Err)
+		}
+		if len(run.Nodes) != nodes {
+			t.Fatalf("%v: deadlocked run has %d node breakdowns, want %d", kind, len(run.Nodes), nodes)
+		}
+	}
+}
+
 func TestRunPhaseCrossTraffic(t *testing.T) {
 	const nodes = 3
 	space := gptr.NewSpace(nodes)

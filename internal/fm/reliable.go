@@ -137,9 +137,7 @@ func (s *relSrc) admit(seq uint64) bool {
 type relState struct {
 	window     int
 	rto0       sim.Time
-	backoff    sim.Time
 	maxRetries int
-	ackBytes   int
 
 	dest      []relDest
 	src       []relSrc
@@ -151,9 +149,7 @@ func newRelState(fc *machine.FaultConfig, nodes int) *relState {
 	return &relState{
 		window:     fc.Window(),
 		rto0:       fc.RTO(),
-		backoff:    sim.Time(fc.Backoff()),
 		maxRetries: fc.MaxRetries(),
-		ackBytes:   fc.AckBytes(),
 		dest:       make([]relDest, nodes),
 		src:        make([]relSrc, nodes),
 	}
@@ -207,7 +203,7 @@ func (ep *EP) onRelData(m sim.Message) {
 		// the layer, and the config is machine-wide.
 		panic("fm: reliable frame received with reliability layer off")
 	}
-	ep.Node.SendControl(m.From, hRelAck, fr.Seq, r.ackBytes)
+	ep.Node.SendControl(m.From, hRelAck, fr.Seq, machine.DefaultRelAckBytes)
 	ep.fs.AcksSent++
 	if !r.src[m.From].admit(fr.Seq) {
 		ep.fs.DupsSuppressed++
@@ -276,7 +272,7 @@ func (ep *EP) relPump() {
 			if ep.trc != nil {
 				ep.trc.Event(obs.KRetransmit, ep.Node.Now(), int64(dst), int64(pd.frame.Seq))
 			}
-			pd.rto *= r.backoff
+			pd.rto *= machine.DefaultRelBackoff
 			pd.deadline = ep.Node.Now() + pd.rto
 		}
 	}

@@ -28,19 +28,15 @@ type FaultConfig struct {
 	// strip after it arrives — or every slow dispatch turns into a spurious
 	// retransmission.
 	RelRTO sim.Time
-	// RelBackoff multiplies the timeout after each retransmission
-	// (exponential backoff). < 2 selects the default (2).
-	RelBackoff int
 	// RelMaxRetries is the retransmission cap per frame; when exhausted the
 	// destination is declared unreachable (ErrUnreachable) and the runtimes
 	// degrade instead of hanging. <= 0 selects the default (8).
 	RelMaxRetries int
-	// RelAckBytes is the modeled wire size of an ack. <= 0 selects the
-	// default (8).
-	RelAckBytes int
 }
 
-// Default reliability-protocol knobs.
+// Default reliability-protocol knobs. DefaultRelBackoff (the timeout
+// multiplier after each retransmission) and DefaultRelAckBytes (the modeled
+// wire size of an ack) are fixed: no config overrides them.
 const (
 	DefaultRelWindow     = 32
 	DefaultRelRTO        = sim.Time(65536)
@@ -95,28 +91,12 @@ func (f *FaultConfig) RTO() sim.Time {
 	return f.RelRTO
 }
 
-// Backoff returns the effective backoff multiplier.
-func (f *FaultConfig) Backoff() int {
-	if f.RelBackoff < 2 {
-		return DefaultRelBackoff
-	}
-	return f.RelBackoff
-}
-
 // MaxRetries returns the effective retransmission cap.
 func (f *FaultConfig) MaxRetries() int {
 	if f.RelMaxRetries <= 0 {
 		return DefaultRelMaxRetries
 	}
 	return f.RelMaxRetries
-}
-
-// AckBytes returns the effective modeled ack size.
-func (f *FaultConfig) AckBytes() int {
-	if f.RelAckBytes <= 0 {
-		return DefaultRelAckBytes
-	}
-	return f.RelAckBytes
 }
 
 // Validate rejects configurations with no defined meaning.

@@ -55,10 +55,6 @@ type Config struct {
 	// TraceBins, when positive, enables activity-timeline recording with
 	// the given bin width in cycles (see Timeline).
 	TraceBins sim.Time
-	// TraceHorizon, when positive, is the expected makespan in cycles. It
-	// pre-sizes timeline bin storage so recording does not grow slices on
-	// the hot path; runs longer than the horizon still record correctly.
-	TraceHorizon sim.Time
 
 	// Obs, when non-nil, attaches the structured observability tracer: per
 	// node, coalesced charge spans plus discrete events from the messaging
@@ -143,9 +139,6 @@ func (c *Config) Validate() error {
 	if c.SendOverhead < 0 || c.RecvOverhead < 0 || c.PollCost < 0 || c.HandlerCost < 0 ||
 		c.LatencyBase < 0 || c.LatencyPerHop < 0 {
 		return fmt.Errorf("machine: per-operation costs must be non-negative")
-	}
-	if c.TraceHorizon < 0 {
-		return fmt.Errorf("machine: TraceHorizon = %d, must be non-negative", c.TraceHorizon)
 	}
 	if c.Obs != nil && c.Obs.Nodes() != c.Nodes {
 		return fmt.Errorf("machine: Obs tracer built for %d nodes, machine has %d", c.Obs.Nodes(), c.Nodes)

@@ -16,9 +16,7 @@ type Timeline struct {
 }
 
 // EnableTrace turns on activity recording with the given bin width (in
-// cycles). Must be called before Run. When Config.TraceHorizon is set, each
-// node's bin slice is pre-sized (capacity, not length) to cover the horizon,
-// so recording never grows storage while the simulation runs.
+// cycles). Must be called before Run.
 func (m *Machine) EnableTrace(binWidth sim.Time) {
 	if binWidth <= 0 {
 		panic("machine: trace bin width must be positive")
@@ -26,16 +24,9 @@ func (m *Machine) EnableTrace(binWidth sim.Time) {
 	if m.nodes != nil {
 		panic("machine: EnableTrace after Run")
 	}
-	horizonBins := 0
-	if m.Cfg.TraceHorizon > 0 {
-		horizonBins = int((m.Cfg.TraceHorizon + binWidth - 1) / binWidth)
-	}
 	m.trace = &Timeline{
 		BinWidth: binWidth,
 		Bins:     make([][][sim.NumCategories]sim.Time, m.Cfg.Nodes),
-	}
-	for n := range m.trace.Bins {
-		m.trace.Bins[n] = make([][sim.NumCategories]sim.Time, 0, horizonBins)
 	}
 }
 
@@ -48,7 +39,7 @@ func (t *Timeline) record(node int, cat sim.Category, start, end sim.Time) {
 		return
 	}
 	// Grow once to cover the interval's last bin, rather than one bin per
-	// loop iteration (a no-op whenever the pre-sized capacity suffices).
+	// loop iteration.
 	lastBin := int((end - 1) / t.BinWidth)
 	if nb := t.Bins[node]; lastBin >= len(nb) {
 		t.Bins[node] = append(nb, make([][sim.NumCategories]sim.Time, lastBin+1-len(nb))...)

@@ -84,21 +84,6 @@ func TestGanttWideRunsKeepRequestedWidth(t *testing.T) {
 	}
 }
 
-func TestEnableTracePreSizesFromHorizon(t *testing.T) {
-	cfg := DefaultT3D(2)
-	cfg.TraceHorizon = 995
-	m := New(cfg)
-	m.EnableTrace(10)
-	for n := range m.trace.Bins {
-		if got := cap(m.trace.Bins[n]); got != 100 {
-			t.Errorf("node %d bin capacity = %d, want 100 (horizon/width rounded up)", n, got)
-		}
-		if got := len(m.trace.Bins[n]); got != 0 {
-			t.Errorf("node %d bin length = %d, want 0 (capacity only)", n, got)
-		}
-	}
-}
-
 func TestAppendShifted(t *testing.T) {
 	a := newTestTimeline(10, 1)
 	a.record(0, sim.Compute, 0, 10)

@@ -219,8 +219,8 @@ type Run struct {
 	// value means a fault-free run.
 	Faults FaultStats
 	// Err is non-nil when the phase degraded instead of completing cleanly
-	// (unreachable destinations, unknown handlers, engine deadlock under
-	// faults). Deterministic for a given seed, like every other field.
+	// (unreachable destinations, unknown handlers, engine deadlock).
+	// Deterministic for a given seed, like every other field.
 	Err error
 	// Timeline is the activity trace when the machine config enabled it
 	// (Config.TraceBins > 0). When phases are merged, their timelines are
