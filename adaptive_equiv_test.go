@@ -17,7 +17,11 @@ import (
 
 // correctedSpec is a planned spec whose tiny copy budget makes the memory
 // model mispredict, so the controller steps in.
-func correctedSpec() Spec { return DPASpec(8, WithPlanner(), WithStripBounds(1, 0, 1<<10)) }
+func correctedSpec() Spec {
+	spec := DPASpec(8, WithPlanner())
+	spec.Core.StripMin, spec.Core.MemBudget = 1, 1<<10
+	return spec
+}
 
 func TestAdaptiveDeterminismEM3D(t *testing.T) {
 	prm := em3d.DefaultParams(160)

@@ -112,6 +112,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dpabench: -tracebins must be positive, got %d\n", *traceBins)
 		os.Exit(1)
 	}
+	// Workload sizes are checked before any workload is built: a negative
+	// size would otherwise panic in an allocation or simulate nothing.
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"bodies", *bodies, 1}, {"vertices", *vertices, 1}, {"steps", *steps, 1},
+		{"iters", *iters, 1}, {"terms", *terms, 1}, {"degree", *degree, 0},
+	} {
+		if f.v < f.min {
+			fmt.Fprintf(os.Stderr, "dpabench: -%s must be >= %d, got %d\n", f.name, f.min, f.v)
+			os.Exit(1)
+		}
+	}
+	if *terms > fmm.MaxTerms {
+		fmt.Fprintf(os.Stderr, "dpabench: -terms must be <= %d, got %d\n", fmm.MaxTerms, *terms)
+		os.Exit(1)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -58,10 +58,19 @@ func TestDpabench(t *testing.T) {
 			{"-restore", "ck.snap", "-checkpoint-at", "1000"},
 			{"-app", "bogus"},
 			{"-tracebins", "0"},
+			{"-app", "bh", "-bodies", "-5"},
+			{"-app", "em3d", "-bodies", "-5"},
+			{"-app", "fmm", "-bodies", "-5"},
+			{"-app", "fmm", "-terms", "-1"},
+			{"-app", "fmm", "-terms", "65"},
+			{"-app", "bfs", "-vertices", "0"},
+			{"-app", "pagerank", "-degree", "-1"},
+			{"-app", "bh", "-steps", "-1"},
+			{"-app", "em3d", "-iters", "-1"},
 		} {
 			out, errOut, code := run(append([]string{"-bodies", "256"}, args...)...)
-			if code != 1 || !strings.HasPrefix(errOut, "dpabench: ") {
-				t.Errorf("%v: exit %d, stderr %q; want exit 1 with a dpabench: line", args, code, errOut)
+			if code != 1 || !strings.HasPrefix(errOut, "dpabench: ") || strings.Count(errOut, "\n") != 1 {
+				t.Errorf("%v: exit %d, stderr %q; want exit 1 with one dpabench: line", args, code, errOut)
 			}
 			if out != "" {
 				t.Errorf("%v: rejected run printed %q", args, out)

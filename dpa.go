@@ -22,7 +22,6 @@
 package dpa
 
 import (
-	"dpa/internal/blocking"
 	"dpa/internal/caching"
 	"dpa/internal/core"
 	"dpa/internal/driver"
@@ -107,15 +106,15 @@ type (
 	// Runtime is the common surface of the DPA, caching, and blocking
 	// runtimes.
 	Runtime = driver.Runtime
-	// Spec selects a runtime scheme and its configuration.
+	// Spec selects a runtime scheme and its configuration. Build one with
+	// DPASpec, CachingSpec or BlockingSpec and set further fields directly
+	// (spec.Core.LIFO = true, spec.Caching.Capacity = 128).
 	Spec = driver.Spec
 	// DPAConfig configures the DPA runtime (strip size, aggregation limit,
 	// pipelining, poll placement).
 	DPAConfig = core.Config
 	// CachingConfig configures the software-caching comparator.
 	CachingConfig = caching.Config
-	// BlockingConfig configures the blocking comparator.
-	BlockingConfig = blocking.Config
 	// RunStats is the merged result of a simulated phase.
 	RunStats = stats.Run
 	// Breakdown is one node's accumulated cycle and traffic counters.
@@ -159,7 +158,7 @@ var ErrUnreachable = fm.ErrUnreachable
 // ErrCrashed is the sentinel error wrapped by every *CrashError; test with
 // errors.Is. A run whose Err wraps it completed with partial results: the
 // crashed nodes' contributions are missing and the surviving nodes' barriers
-// and reductions shrank to the live set.
+// shrank to the live set.
 var ErrCrashed = machine.ErrCrashed
 
 // CrashError reports one node's permanent crash (scheduled by the fault
@@ -210,17 +209,8 @@ type SpecOption = driver.SpecOption
 // WithAggLimit sets the DPA aggregation limit (1 disables, 0 unlimited).
 func WithAggLimit(n int) SpecOption { return driver.WithAggLimit(n) }
 
-// WithLIFO selects the depth-first (LIFO) ready-queue discipline for DPA.
-func WithLIFO() SpecOption { return driver.WithLIFO() }
-
 // WithPipeline enables or disables DPA message pipelining.
 func WithPipeline(on bool) SpecOption { return driver.WithPipeline(on) }
-
-// WithPollEvery sets ready-thread executions between network polls.
-func WithPollEvery(n int) SpecOption { return driver.WithPollEvery(n) }
-
-// WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
-func WithCacheCapacity(n int) SpecOption { return driver.WithCacheCapacity(n) }
 
 // WithPlanner enables DPA's predictive communication planner: a closed-form
 // cost model chooses each strip's size and per-destination aggregation
@@ -230,27 +220,13 @@ func WithCacheCapacity(n int) SpecOption { return driver.WithCacheCapacity(n) }
 // reactive controller corrects only when the model mispredicts, and a
 // repeated phase of a multi-phase application batches its first requests
 // from the previous phase's per-owner fetch totals. Mutually exclusive with
-// WithLIFO.
+// Core.LIFO.
 func WithPlanner() SpecOption { return driver.WithPlanner() }
-
-// WithStripBounds sets the planner's bounds: strip sizes stay in [min, max]
-// and renamed copies are budgeted to memBudget bytes. Zero values keep the
-// defaults.
-func WithStripBounds(min, max int, memBudget int64) SpecOption {
-	return driver.WithStripBounds(min, max, memBudget)
-}
 
 // DPASpec selects the DPA runtime with the given strip size and the default
 // communication optimizations (aggregation + pipelining) enabled, then
 // applies opts. The paper's headline configuration is DPASpec(50).
 func DPASpec(strip int, opts ...SpecOption) Spec { return driver.DPASpec(strip, opts...) }
-
-// DPADefault returns the default DPA runtime configuration for further
-// customization; wrap it in a Spec via SpecFromDPA.
-func DPADefault() DPAConfig { return core.Default() }
-
-// SpecFromDPA wraps a custom DPA configuration in a Spec.
-func SpecFromDPA(cfg DPAConfig) Spec { return Spec{Kind: driver.DPA, Core: cfg} }
 
 // CachingSpec selects the software-caching comparator runtime.
 func CachingSpec(opts ...SpecOption) Spec { return driver.CachingSpec(opts...) }

@@ -50,12 +50,6 @@ func TestFacadeSpecs(t *testing.T) {
 	if BlockingSpec().String() != "Blocking" {
 		t.Error(BlockingSpec().String())
 	}
-	cfg := DPADefault()
-	cfg.Strip = 7
-	cfg.AggLimit = 3
-	if SpecFromDPA(cfg).Core.Strip != 7 {
-		t.Error("SpecFromDPA lost config")
-	}
 }
 
 func TestFacadeAllRuntimesAgree(t *testing.T) {

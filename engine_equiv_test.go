@@ -207,7 +207,9 @@ func TestRunPhaseValidationOption(t *testing.T) {
 // panicking, and simulates nothing.
 func TestRunPhaseRejectsInvalidSpec(t *testing.T) {
 	ran := false
-	run := RunPhase(DefaultT3D(1), NewSpace(1), DPASpec(4, WithPlanner(), WithLIFO()),
+	spec := DPASpec(4, WithPlanner())
+	spec.Core.LIFO = true
+	run := RunPhase(DefaultT3D(1), NewSpace(1), spec,
 		func(rt Runtime, ep *Endpoint, nd *Node) { ran = true })
 	if !errors.Is(run.Err, ErrBadSpec) {
 		t.Fatalf("Err = %v, want ErrBadSpec", run.Err)

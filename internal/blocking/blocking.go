@@ -18,25 +18,11 @@ import (
 )
 
 // Thread is a thread body, as in the core package.
-type Thread func(obj gptr.Object)
+type Thread = func(obj gptr.Object)
 
-// Config selects the blocking runtime's costs.
-type Config struct {
-	// SpawnCost is overhead per creation site (the call itself).
-	SpawnCost sim.Time
-}
-
-// Default returns the standard blocking-runtime configuration.
-func Default() Config { return Config{SpawnCost: 4} }
-
-// Validate rejects configurations with no defined meaning. It is called by
-// the driver before a runtime is instantiated.
-func (c *Config) Validate() error {
-	if c.SpawnCost < 0 {
-		return fmt.Errorf("blocking: SpawnCost must be non-negative, got %d", c.SpawnCost)
-	}
-	return nil
-}
+// spawnCost is overhead in cycles per creation site (the call itself),
+// fixed by calibration like the machine's cost table.
+const spawnCost sim.Time = 4
 
 // Proto holds the fetch-protocol handler ids.
 type Proto struct {
@@ -90,7 +76,6 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 type RT struct {
 	EP    *fm.EP
 	Space *gptr.Space
-	Cfg   Config
 	proto *Proto
 
 	// Depth of nested Spawn calls, to keep TOUCH semantics: only one
@@ -108,8 +93,8 @@ type RT struct {
 }
 
 // New creates the blocking runtime for one node.
-func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config) *RT {
-	rt := &RT{EP: ep, Space: space, Cfg: cfg, proto: proto,
+func New(proto *Proto, ep *fm.EP, space *gptr.Space) *RT {
+	rt := &RT{EP: ep, Space: space, proto: proto,
 		seen: make(map[gptr.Ptr]struct{}), trc: ep.Node.Obs()}
 	ep.Ctx = rt
 	return rt
@@ -131,7 +116,7 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		panic("blocking: Spawn with nil pointer")
 	}
 	n := rt.EP.Node
-	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)
+	n.Charge(sim.SchedOv, spawnCost)
 	rt.st.Spawns++
 	var o gptr.Object
 	if rt.Space.LocalOrRepl(p, n.ID()) {

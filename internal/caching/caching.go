@@ -26,16 +26,22 @@ import (
 )
 
 // Thread is a non-blocking thread body, as in the core package.
-type Thread func(obj gptr.Object)
+type Thread = func(obj gptr.Object)
 
-// Config selects the caching runtime's costs and scheduling.
+// Per-operation runtime costs in cycles, fixed by calibration like the
+// machine's cost table. The hash probe cost itself comes from the machine
+// config (Config.HashCost).
+const (
+	// spawnCost is runtime overhead per thread-creation site.
+	spawnCost sim.Time = 75
+	// execCost is scheduler overhead per thread dispatch.
+	execCost sim.Time = 45
+)
+
+// Config selects the caching runtime's scheduling and cache size.
 type Config struct {
 	// PollEvery is ready-thread executions between polls (<= 0 means 1).
 	PollEvery int
-	// SpawnCost is runtime overhead per thread-creation site.
-	SpawnCost sim.Time
-	// ExecCost is scheduler overhead per thread dispatch.
-	ExecCost sim.Time
 	// Capacity bounds the software cache in objects; 0 means unbounded.
 	// A bounded cache evicts in FIFO insertion order, so hot objects can be
 	// refetched (capacity misses) — the realistic configuration for
@@ -43,11 +49,8 @@ type Config struct {
 	Capacity int
 }
 
-// Default returns the standard caching-runtime configuration. The hash
-// probe cost itself comes from the machine config (Config.HashCost).
-func Default() Config {
-	return Config{PollEvery: 1, SpawnCost: 75, ExecCost: 45}
-}
+// Default returns the standard caching-runtime configuration.
+func Default() Config { return Config{PollEvery: 1} }
 
 // Validate rejects configurations with no defined meaning. It is called by
 // the driver before a runtime is instantiated.
@@ -57,9 +60,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Capacity < 0 {
 		return fmt.Errorf("caching: Capacity must be >= 0 (0 = unbounded), got %d", c.Capacity)
-	}
-	if c.SpawnCost < 0 || c.ExecCost < 0 {
-		return fmt.Errorf("caching: costs must be non-negative (spawn=%d exec=%d)", c.SpawnCost, c.ExecCost)
 	}
 	return nil
 }
@@ -207,11 +207,11 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		panic("caching: Spawn with nil pointer")
 	}
 	n := rt.EP.Node
-	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)
+	n.Charge(sim.SchedOv, spawnCost)
 	rt.st.Spawns++
 	if rt.Space.LocalOrRepl(p, n.ID()) {
 		// Local and replicated objects take the cheap address-check fast
-		// path (subsumed in SpawnCost), as in Olden-style software caching.
+		// path (subsumed in spawnCost), as in Olden-style software caching.
 		rt.st.LocalHits++
 		rt.ready = append(rt.ready, readyEntry{key: p.Key(), obj: rt.Space.Get(p), fn: fn})
 		rt.trackPeak()
@@ -342,7 +342,7 @@ func (rt *RT) runOne() {
 		rt.readyHead = 0
 	}
 	n := rt.EP.Node
-	n.Charge(sim.SchedOv, rt.Cfg.ExecCost)
+	n.Charge(sim.SchedOv, execCost)
 	if e.remote {
 		// ...and another probe when the thread body dereferences the
 		// pointer again. DPA avoids this re-translation by renaming

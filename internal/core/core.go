@@ -37,8 +37,24 @@ import (
 
 // Thread is a non-blocking thread body. It receives the (local or renamed)
 // object for the pointer its creation site was labeled with, and must not
-// block; it may create further threads via Spawn.
-type Thread func(obj gptr.Object)
+// block; it may create further threads via Spawn. It is an alias so that
+// *RT satisfies the driver's runtime interface directly.
+type Thread = func(obj gptr.Object)
+
+// Per-operation runtime costs in cycles, fixed by calibration like the
+// machine's cost table.
+const (
+	// spawnCost is runtime overhead charged per thread-creation site:
+	// allocate and label the continuation, owner test, M/D bookkeeping.
+	spawnCost sim.Time = 90
+	// execCost is scheduler overhead charged per thread dispatch: dequeue,
+	// dispatch through the renamed pointer.
+	execCost sim.Time = 54
+	// mapCost is the cost of one M/D table operation (paid only on spawns
+	// that reference remote objects; this is the "minimized hashing"
+	// advantage over software caching, which probes on every access).
+	mapCost sim.Time = 30
+)
 
 // Config selects the DPA scheduling and communication policy.
 type Config struct {
@@ -90,15 +106,6 @@ type Config struct {
 	// choice — LIFO finishes traversal subtrees before starting new ones
 	// (less outstanding state), FIFO preserves reply-grouping order.
 	LIFO bool
-
-	// SpawnCost is runtime overhead charged per thread-creation site.
-	SpawnCost sim.Time
-	// ExecCost is scheduler overhead charged per thread dispatch.
-	ExecCost sim.Time
-	// MapCost is the cost of one M/D table operation (paid only on spawns
-	// that reference remote objects; this is the "minimized hashing"
-	// advantage over software caching, which probes on every access).
-	MapCost sim.Time
 }
 
 // Default returns the paper's headline configuration: strip size 50,
@@ -109,9 +116,6 @@ func Default() Config {
 		AggLimit:  16,
 		Pipeline:  true,
 		PollEvery: 1,
-		SpawnCost: 90, // allocate+label the continuation, owner test, M/D bookkeeping
-		ExecCost:  54, // dequeue, dispatch through the renamed pointer
-		MapCost:   30,
 	}
 }
 
@@ -139,10 +143,6 @@ func (c *Config) Validate() error {
 	}
 	if c.PollEvery < 0 {
 		return fmt.Errorf("core: PollEvery must be >= 0 (0 = every iteration), got %d", c.PollEvery)
-	}
-	if c.SpawnCost < 0 || c.ExecCost < 0 || c.MapCost < 0 {
-		return fmt.Errorf("core: costs must be non-negative (spawn=%d exec=%d map=%d)",
-			c.SpawnCost, c.ExecCost, c.MapCost)
 	}
 	return nil
 }
@@ -409,7 +409,7 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		panic("core: Spawn with nil pointer")
 	}
 	n := rt.EP.Node
-	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)
+	n.Charge(sim.SchedOv, spawnCost)
 	rt.st.Spawns++
 	if rt.Space.LocalOrRepl(p, n.ID()) {
 		rt.st.LocalHits++
@@ -417,7 +417,7 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		rt.trackPeak()
 		return
 	}
-	n.Charge(sim.SchedOv, rt.Cfg.MapCost)
+	n.Charge(sim.SchedOv, mapCost)
 	if e, ok := rt.table[p]; ok {
 		rt.st.Reuses++
 		e.lastUse = rt.plan.stripIdx // reuse region stays open
@@ -642,7 +642,7 @@ func (rt *RT) runOne() {
 	if rt.trc != nil {
 		t0 = n.Now()
 	}
-	n.Charge(sim.SchedOv, rt.Cfg.ExecCost)
+	n.Charge(sim.SchedOv, execCost)
 	n.Touch(e.key)
 	rt.st.ThreadsRun++
 	e.fn(e.obj)

@@ -33,11 +33,12 @@ type Runtime interface {
 	Err() error
 }
 
-// Interface conformance (compile-time checks via adapters below).
+// Interface conformance: each runtime's Thread is an alias of the
+// interface's thread type, so the runtimes satisfy it directly.
 var (
-	_ Runtime = (*coreAdapter)(nil)
-	_ Runtime = (*cachingAdapter)(nil)
-	_ Runtime = (*blockingAdapter)(nil)
+	_ Runtime = (*core.RT)(nil)
+	_ Runtime = (*caching.RT)(nil)
+	_ Runtime = (*blocking.RT)(nil)
 )
 
 // Kind names a runtime scheme.
@@ -50,12 +51,14 @@ const (
 	Blocking Kind = "blocking"
 )
 
-// Spec selects a runtime scheme and its configuration for a run.
+// Spec selects a runtime scheme and its configuration for a run. The
+// blocking runtime has no configuration. Build a Spec with DPASpec,
+// CachingSpec or BlockingSpec, then set any further field directly, e.g.
+// spec.Core.LIFO = true or spec.Caching.Capacity = 128.
 type Spec struct {
-	Kind     Kind
-	Core     core.Config     // used when Kind == DPA
-	Caching  caching.Config  // used when Kind == Caching
-	Blocking blocking.Config // used when Kind == Blocking
+	Kind    Kind
+	Core    core.Config    // used when Kind == DPA
+	Caching caching.Config // used when Kind == Caching
 }
 
 // SpecOption customizes a Spec built by DPASpec, CachingSpec, or
@@ -67,9 +70,6 @@ type SpecOption func(*Spec)
 // pointers per request message (1 disables aggregation, 0 means unlimited).
 func WithAggLimit(n int) SpecOption { return func(s *Spec) { s.Core.AggLimit = n } }
 
-// WithLIFO selects the depth-first (LIFO) ready-queue discipline for DPA.
-func WithLIFO() SpecOption { return func(s *Spec) { s.Core.LIFO = true } }
-
 // WithPlanner enables DPA's predictive communication planner: at every strip
 // boundary a closed-form cost model — fed by the previous strip's reuse
 // summary (per-owner fetch histogram, round-trip estimates, byte volumes) —
@@ -80,29 +80,12 @@ func WithLIFO() SpecOption { return func(s *Spec) { s.Core.LIFO = true } }
 // only when the model mispredicts. When a multi-phase runner passes a
 // History via WithHistory, a repeated phase batches its first requests from
 // the previous phase's per-owner fetch totals. Mutually exclusive with
-// WithLIFO.
+// Core.LIFO.
 func WithPlanner() SpecOption { return func(s *Spec) { s.Core.Planner = true } }
-
-// WithStripBounds sets the planner's strip-size bounds and renamed-copy
-// memory budget in bytes (zero keeps each default).
-func WithStripBounds(min, max int, memBudget int64) SpecOption {
-	return func(s *Spec) {
-		s.Core.StripMin, s.Core.StripMax, s.Core.MemBudget = min, max, memBudget
-	}
-}
 
 // WithPipeline enables or disables DPA message pipelining (eager request
 // flushing that overlaps communication with thread execution).
 func WithPipeline(on bool) SpecOption { return func(s *Spec) { s.Core.Pipeline = on } }
-
-// WithPollEvery sets the number of ready-thread executions between network
-// polls for the DPA and caching runtimes.
-func WithPollEvery(n int) SpecOption {
-	return func(s *Spec) { s.Core.PollEvery = n; s.Caching.PollEvery = n }
-}
-
-// WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
-func WithCacheCapacity(n int) SpecOption { return func(s *Spec) { s.Caching.Capacity = n } }
 
 // DPASpec returns a Spec for DPA with the given strip size and the default
 // communication optimizations enabled, then applies opts.
@@ -119,7 +102,7 @@ func CachingSpec(opts ...SpecOption) Spec {
 
 // BlockingSpec returns a Spec for the blocking runtime.
 func BlockingSpec(opts ...SpecOption) Spec {
-	return applySpec(Spec{Kind: Blocking, Blocking: blocking.Default()}, opts)
+	return applySpec(Spec{Kind: Blocking}, opts)
 }
 
 func applySpec(s Spec, opts []SpecOption) Spec {
@@ -137,7 +120,7 @@ func (s Spec) Validate() error {
 	case Caching:
 		return s.Caching.Validate()
 	case Blocking:
-		return s.Blocking.Validate()
+		return nil
 	}
 	return fmt.Errorf("driver: unknown runtime kind %q", string(s.Kind))
 }
@@ -157,21 +140,6 @@ func (s Spec) String() string {
 	}
 	return string(s.Kind)
 }
-
-// Adapters: each runtime's Spawn takes its own Thread type; the adapters
-// unify them under the interface.
-
-type coreAdapter struct{ *core.RT }
-
-func (a coreAdapter) Spawn(p gptr.Ptr, fn func(gptr.Object)) { a.RT.Spawn(p, fn) }
-
-type cachingAdapter struct{ *caching.RT }
-
-func (a cachingAdapter) Spawn(p gptr.Ptr, fn func(gptr.Object)) { a.RT.Spawn(p, fn) }
-
-type blockingAdapter struct{ *blocking.RT }
-
-func (a blockingAdapter) Spawn(p gptr.Ptr, fn func(gptr.Object)) { a.RT.Spawn(p, fn) }
 
 // Protos bundles the three runtimes' registered protocols on one net.
 type Protos struct {
@@ -201,11 +169,11 @@ func (p *Protos) NewRuntime(spec Spec, ep *fm.EP, space *gptr.Space) (Runtime, e
 	}
 	switch spec.Kind {
 	case DPA:
-		return coreAdapter{core.New(p.core, ep, space, spec.Core)}, nil
+		return core.New(p.core, ep, space, spec.Core), nil
 	case Caching:
-		return cachingAdapter{caching.New(p.caching, ep, space, spec.Caching)}, nil
+		return caching.New(p.caching, ep, space, spec.Caching), nil
 	case Blocking:
-		return blockingAdapter{blocking.New(p.blocking, ep, space, spec.Blocking)}, nil
+		return blocking.New(p.blocking, ep, space), nil
 	}
 	panic("driver: unreachable kind " + string(spec.Kind)) // Validate rejected it
 }
@@ -339,7 +307,7 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 		rts[nd.ID()] = rt
 		eps[nd.ID()] = ep
 		if priors != nil {
-			rt.(coreAdapter).AttachPrior(priors[nd.ID()])
+			rt.(*core.RT).AttachPrior(priors[nd.ID()])
 		}
 		body(rt, ep, nd)
 		ep.Quiesce()
@@ -363,7 +331,7 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	if priors != nil {
 		for _, rt := range rts {
 			if rt != nil {
-				rt.(coreAdapter).FoldPrior()
+				rt.(*core.RT).FoldPrior()
 			}
 		}
 	}

@@ -69,7 +69,8 @@ func TestNewRuntimeRejectsInvalidConfig(t *testing.T) {
 		if _, err := protos.NewRuntime(bad, ep, space); err == nil {
 			t.Error("expected error for negative AggLimit")
 		}
-		badCache := CachingSpec(WithCacheCapacity(-1))
+		badCache := CachingSpec()
+		badCache.Caching.Capacity = -1
 		if _, err := protos.NewRuntime(badCache, ep, space); err == nil {
 			t.Error("expected error for negative cache capacity")
 		}
@@ -77,13 +78,9 @@ func TestNewRuntimeRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestSpecOptions(t *testing.T) {
-	s := DPASpec(300, WithAggLimit(4), WithLIFO(), WithPipeline(false), WithPollEvery(3))
-	if s.Core.Strip != 300 || s.Core.AggLimit != 4 || !s.Core.LIFO || s.Core.Pipeline || s.Core.PollEvery != 3 {
+	s := DPASpec(300, WithAggLimit(4), WithPipeline(false), WithPlanner())
+	if s.Core.Strip != 300 || s.Core.AggLimit != 4 || s.Core.Pipeline || !s.Core.Planner {
 		t.Fatalf("option application: %+v", s.Core)
-	}
-	c := CachingSpec(WithCacheCapacity(128), WithPollEvery(2))
-	if c.Caching.Capacity != 128 || c.Caching.PollEvery != 2 {
-		t.Fatalf("caching options: %+v", c.Caching)
 	}
 }
 

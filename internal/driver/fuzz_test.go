@@ -8,6 +8,8 @@ import (
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/machine"
+	"dpa/internal/sim"
+	"dpa/internal/stats"
 )
 
 // fuzzObj is a random DAG node: a value and up to three children to spawn
@@ -175,4 +177,102 @@ func TestFuzzDeterminism(t *testing.T) {
 				trial, s1, t1, n1, s2, t2, n2)
 		}
 	}
+}
+
+// fuzzSpecs are the runtime configurations FuzzRunPhase picks from.
+var fuzzSpecs = []struct {
+	name string
+	spec func(strip int) Spec
+}{
+	{"static", func(strip int) Spec { return DPASpec(strip) }},
+	{"planner", func(strip int) Spec { return DPASpec(strip, WithPlanner()) }},
+	{"lifo", func(strip int) Spec {
+		s := DPASpec(strip)
+		s.Core.LIFO = true
+		return s
+	}},
+	{"caching", func(int) Spec { return CachingSpec() }},
+	{"blocking", func(int) Spec { return BlockingSpec() }},
+}
+
+// FuzzRunPhase drives RunPhase over random DAG traversals: the seed builds
+// the world and the roots, kind picks the runtime configuration, and lossy
+// adds a 5% drop plan with the reliability protocol on. Every input must
+// run without panicking under both engines with identical statistics, and
+// a run without a degradation error must execute exactly the host-counted
+// number of threads; a fault-free run must have no error at all.
+//
+//	go test -run '^$' -fuzz '^FuzzRunPhase$' -fuzztime 30s ./internal/driver
+func FuzzRunPhase(f *testing.F) {
+	// Seeds whose worlds span 2-6 nodes with a non-empty traversal: every
+	// spec fault-free, and the DPA, planner and caching paths under loss.
+	f.Add(int64(1), uint8(0), false)
+	f.Add(int64(2), uint8(1), false)
+	f.Add(int64(3), uint8(2), false)
+	f.Add(int64(4), uint8(3), false)
+	f.Add(int64(9), uint8(4), false)
+	f.Add(int64(12), uint8(0), true)
+	f.Add(int64(13), uint8(1), true)
+	f.Add(int64(14), uint8(3), true)
+
+	f.Fuzz(func(t *testing.T, seed int64, kind uint8, lossy bool) {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 1 + rng.Intn(6)
+		nObjs := 5 + rng.Intn(120)
+		space, ptrs := buildFuzzWorld(rng, nObjs, nodes)
+		roots := make([][]gptr.Ptr, nodes)
+		for n := range roots {
+			for k := 0; k < rng.Intn(8); k++ {
+				roots[n] = append(roots[n], ptrs[rng.Intn(nObjs)])
+			}
+		}
+		want := countVisits(space, ptrs, roots)
+		if want > 50_000 {
+			t.Skip("path count explodes through shared DAG nodes")
+		}
+		fs := fuzzSpecs[int(kind)%len(fuzzSpecs)]
+		spec := fs.spec(1 + rng.Intn(100))
+		mcfg := machine.DefaultT3D(nodes)
+		if lossy {
+			mcfg.Faults = machine.DefaultFaults(uint64(seed), 0.05)
+		}
+
+		run := func(engine sim.EngineKind) (stats.Run, float64) {
+			cfg := mcfg
+			cfg.Engine = engine
+			sums := make([]float64, nodes)
+			r := RunPhase(cfg, space, spec, func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+				me := nd.ID()
+				var walk func(o gptr.Object)
+				walk = func(o gptr.Object) {
+					fo := o.(*fuzzObj)
+					sums[me] += fo.val
+					for _, k := range fo.kids {
+						rt.Spawn(k, walk)
+					}
+				}
+				rt.ForAll(len(roots[me]), func(i int) { rt.Spawn(roots[me][i], walk) })
+			})
+			var total float64
+			for _, s := range sums {
+				total += s
+			}
+			return r, total
+		}
+		seq, seqSum := run(sim.Sequential)
+		par, parSum := run(sim.Parallel)
+		if d := seq.Diff(par); d != "" {
+			t.Fatalf("%s (lossy=%v, %d nodes): engines differ: %s", fs.name, lossy, nodes, d)
+		}
+		if seqSum != parSum {
+			t.Fatalf("%s (lossy=%v): engines summed %v and %v", fs.name, lossy, seqSum, parSum)
+		}
+		if !lossy && seq.Err != nil {
+			t.Fatalf("%s: fault-free run failed: %v", fs.name, seq.Err)
+		}
+		if seq.Err == nil && seq.RT.ThreadsRun != want {
+			t.Fatalf("%s (lossy=%v, %d nodes): ran %d threads, host count %d",
+				fs.name, lossy, nodes, seq.RT.ThreadsRun, want)
+		}
+	})
 }

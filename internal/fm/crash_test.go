@@ -129,18 +129,17 @@ func TestCrashedDestinationShutdown(t *testing.T) {
 	}
 }
 
-// TestCrashLiveSetCollectives: with a crash schedule active the collectives
-// run in live-set mode — a reduction and the following barriers shrink to
-// the surviving nodes instead of hanging on the dead one. Node 2 crashes
-// before contributing; nodes 0 and 1 must finish with the survivors-only
-// sum, node 0 must have probed the silent peer to establish its death, and
-// both engines must agree on sums, probe counts, and the degradation errors.
+// TestCrashLiveSetCollectives: with a crash schedule active the barrier
+// runs in live-set mode — it shrinks to the surviving nodes instead of
+// hanging on the dead one. Node 2 crashes before arriving; nodes 0 and 1
+// must get through the barrier, node 0 must have probed the silent peer to
+// establish its death, and both engines must agree on probe counts and the
+// degradation errors.
 func TestCrashLiveSetCollectives(t *testing.T) {
 	const crashAt = sim.Time(10000)
 	seed := findCrashSeed(t, 3, 0.4, crashAt, map[int]bool{2: true})
 
 	type result struct {
-		sums   [2]float64
 		probes int64
 		errs   [2]string
 	}
@@ -164,9 +163,6 @@ func TestCrashLiveSetCollectives(t *testing.T) {
 				t.Error("doomed node survived its crash point")
 				return
 			}
-			sum := ep.AllReduceSum(float64(nd.ID() + 1))
-			res.sums[nd.ID()] = sum
-			ep.Quiesce()
 			ep.Barrier()
 			ep.Quiesce()
 			res.errs[nd.ID()] = fmt.Sprint(ep.Err())
@@ -193,19 +189,10 @@ func TestCrashLiveSetCollectives(t *testing.T) {
 	if seq != par {
 		t.Errorf("engines disagree on the degraded collectives:\n  seq: %+v\n  par: %+v", seq, par)
 	}
-	// Survivors' sum: node 0 contributes 1, node 1 contributes 2; the dead
-	// node's 3 must be missing from both.
-	for id, sum := range seq.sums {
-		if sum != 3 {
-			t.Errorf("node %d reduced to %v, want the survivors-only sum 3", id, sum)
-		}
-	}
 	if seq.probes == 0 {
 		t.Error("node 0 never probed the silent peer; live-set detection did not run")
 	}
-	for _, op := range []string{"allreduce degraded", "barrier degraded"} {
-		if !strings.Contains(seq.errs[0], op) {
-			t.Errorf("node 0 errors %q missing %q", seq.errs[0], op)
-		}
+	if !strings.Contains(seq.errs[0], "barrier degraded") {
+		t.Errorf("node 0 errors %q missing %q", seq.errs[0], "barrier degraded")
 	}
 }

@@ -1,8 +1,8 @@
 // Package fm is a hand-rolled active-message layer in the style of Illinois
 // Fast Messages (FM), the messaging substrate the paper used on the CRAY
 // T3D. A message names a handler; handlers run on the receiving node when it
-// polls the network. The package also provides the collective operations the
-// applications need (barrier, all-reduce) built from the same primitives.
+// polls the network. The package also provides the one collective the
+// runtimes need, a barrier, built from the same primitives.
 //
 // When the machine config enables fault injection with message loss or
 // duplication, endpoints transparently run a reliability protocol (send
@@ -33,8 +33,6 @@ type Net struct {
 const (
 	hBarrierArrive = iota
 	hBarrierRelease
-	hReduceArrive
-	hReduceResult
 	hRelData
 	hRelAck
 	hProbe
@@ -46,8 +44,6 @@ func NewNet() *Net {
 	n := &Net{handlers: make([]Handler, numInternal)}
 	n.handlers[hBarrierArrive] = (*EP).onBarrierArrive
 	n.handlers[hBarrierRelease] = (*EP).onBarrierRelease
-	n.handlers[hReduceArrive] = (*EP).onReduceArrive
-	n.handlers[hReduceResult] = (*EP).onReduceResult
 	n.handlers[hRelData] = (*EP).onRelData
 	n.handlers[hRelAck] = (*EP).onRelAck
 	n.handlers[hProbe] = (*EP).onProbe
@@ -78,24 +74,11 @@ func (ep *EP) onBarrierArrive(m sim.Message) {
 }
 func (ep *EP) onBarrierRelease(m sim.Message) { ep.barrierEpoch++ }
 
-func (ep *EP) onReduceArrive(m sim.Message) {
-	ep.reduceAcc += m.Payload.(float64)
-	ep.reduceCount++
-	if ep.reduceSeen != nil {
-		ep.reduceSeen[m.From]++
-	}
-}
-
 // onProbe is the liveness-probe handler: the frame's only job is to exist —
 // a reliable frame to a dead peer goes unacked and exhausts its retries,
-// which is exactly the detection signal the live-set collectives need. The
+// which is exactly the detection signal the live-set barrier needs. The
 // reliability layer acks it like any data frame; there is nothing to do.
 func (ep *EP) onProbe(m sim.Message) {}
-
-func (ep *EP) onReduceResult(m sim.Message) {
-	ep.reduceResult = m.Payload.(float64)
-	ep.reduceDone = true
-}
 
 // EP is a node's endpoint: its handle on the network. Ctx carries
 // runtime-specific per-node state for handlers to use.
@@ -123,21 +106,13 @@ type EP struct {
 	barrierEpoch int // releases seen
 	barrierAt    int // barriers this node has completed
 
-	reduceAcc    float64
-	reduceCount  int
-	reduceResult float64
-	reduceDone   bool
-
-	// Live-set collective state, enabled only when the fault config
-	// schedules permanent crashes (FaultConfig.CrashActive): collectives
-	// then track arrivals per peer and shrink to the surviving set instead
-	// of failing wholesale at the first dead destination. barrierSeen and
-	// reduceSeen count per-peer arrivals on node 0; reduceAt counts this
-	// node's completed reductions (the reduce-side analogue of barrierAt).
+	// Live-set barrier state, enabled only when the fault config schedules
+	// permanent crashes (FaultConfig.CrashActive): the barrier then tracks
+	// arrivals per peer and shrinks to the surviving set instead of failing
+	// wholesale at the first dead destination. barrierSeen counts per-peer
+	// arrivals on node 0.
 	liveSet     bool
 	barrierSeen []int
-	reduceSeen  []int
-	reduceAt    int
 }
 
 // NewEP creates the endpoint for a node. Call once per node inside the SPMD
@@ -155,7 +130,6 @@ func NewEP(net *Net, n *machine.Node) *EP {
 		ep.liveSet = true
 		if n.ID() == 0 {
 			ep.barrierSeen = make([]int, n.N())
-			ep.reduceSeen = make([]int, n.N())
 		}
 	}
 	return ep
@@ -236,14 +210,13 @@ func (ep *EP) Poll() int {
 // flight the wait is bounded by the next retransmission deadline, so
 // recovery proceeds even when the network has gone silent.
 func (ep *EP) WaitAndDispatch() int {
+	deadline := sim.Forever
 	if ep.rel != nil {
 		if dl, ok := ep.rel.nextDeadline(); ok {
-			n := ep.dispatch(ep.Node.WaitMessageUntil(dl))
-			ep.relPump()
-			return n
+			deadline = dl
 		}
 	}
-	n := ep.dispatch(ep.Node.WaitMessage())
+	n := ep.dispatch(ep.Node.WaitMessageUntil(deadline))
 	if ep.rel != nil {
 		ep.relPump()
 	}
@@ -414,99 +387,4 @@ func (ep *EP) traceBarrier() {
 	if ep.trc != nil {
 		ep.trc.Event(obs.KBarrier, ep.Node.Now(), int64(ep.barrierAt), 0)
 	}
-}
-
-// AllReduceSum computes the global sum of v across all nodes. Like Barrier,
-// it keeps dispatching while waiting, and degrades (returning a partial
-// sum and recording the failure) when peers become unreachable.
-func (ep *EP) AllReduceSum(v float64) float64 {
-	n := ep.Node.N()
-	if n == 1 {
-		return v
-	}
-	if ep.liveSet {
-		return ep.allReduceLiveSet(n, v)
-	}
-	if ep.Node.ID() == 0 {
-		for ep.reduceCount < n-1 && !ep.Degraded() {
-			ep.WaitAndDispatch()
-		}
-		if ep.reduceCount < n-1 {
-			ep.fail(&CollectiveError{Op: "allreduce", Node: 0,
-				Missing: n - 1 - ep.reduceCount})
-			ep.reduceCount = 0
-		} else {
-			ep.reduceCount -= n - 1
-		}
-		total := ep.reduceAcc + v
-		ep.reduceAcc = 0
-		for j := 1; j < n; j++ {
-			ep.Send(j, hReduceResult, total, 8)
-		}
-		return total
-	}
-	ep.Send(0, hReduceArrive, v, 8)
-	for !ep.reduceDone && !ep.Degraded() {
-		ep.WaitAndDispatch()
-	}
-	if !ep.reduceDone {
-		ep.fail(&CollectiveError{Op: "allreduce", Node: ep.Node.ID(), Missing: 1})
-		return v
-	}
-	ep.reduceDone = false
-	r := ep.reduceResult
-	return r
-}
-
-// allReduceLiveSet is the crash-tolerant reduction (see EP.liveSet): the
-// sum shrinks to the contributions of nodes still alive, mirroring
-// barrierLiveSet's per-peer wait and probing.
-func (ep *EP) allReduceLiveSet(n int, v float64) float64 {
-	ep.reduceAt++
-	if ep.Node.ID() == 0 {
-		for {
-			missing := false
-			for j := 1; j < n; j++ {
-				if ep.reduceSeen[j] < ep.reduceAt && !ep.Unreachable(j) {
-					missing = true
-					ep.probe(j)
-				}
-			}
-			if !missing {
-				break
-			}
-			ep.WaitAndDispatch()
-		}
-		dead, arrived := 0, 0
-		for j := 1; j < n; j++ {
-			if ep.reduceSeen[j] < ep.reduceAt {
-				dead++
-			} else {
-				arrived++
-			}
-		}
-		ep.reduceCount -= arrived
-		if dead > 0 {
-			ep.fail(&CollectiveError{Op: "allreduce", Node: 0, Missing: dead})
-		}
-		total := ep.reduceAcc + v
-		ep.reduceAcc = 0
-		for j := 1; j < n; j++ {
-			if !ep.Unreachable(j) {
-				ep.Send(j, hReduceResult, total, 8)
-			}
-		}
-		return total
-	}
-	ep.Send(0, hReduceArrive, v, 8)
-	for !ep.reduceDone && !ep.Unreachable(0) {
-		ep.probe(0)
-		ep.WaitAndDispatch()
-	}
-	if !ep.reduceDone {
-		ep.fail(&CollectiveError{Op: "allreduce", Node: ep.Node.ID(), Missing: 1})
-		return v
-	}
-	ep.reduceDone = false
-	return ep.reduceResult
 }

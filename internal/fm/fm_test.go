@@ -96,39 +96,6 @@ func TestBarrierSingleNode(t *testing.T) {
 	})
 }
 
-func TestAllReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 16} {
-		net := NewNet()
-		m := machine.New(machine.DefaultT3D(n))
-		results := make([]float64, n)
-		m.Run(func(nd *machine.Node) {
-			ep := NewEP(net, nd)
-			results[nd.ID()] = ep.AllReduceSum(float64(nd.ID() + 1))
-		})
-		want := float64(n*(n+1)) / 2
-		for i, r := range results {
-			if r != want {
-				t.Errorf("n=%d node %d: reduce = %v, want %v", n, i, r, want)
-			}
-		}
-	}
-}
-
-func TestAllReduceRepeated(t *testing.T) {
-	const n = 4
-	net := NewNet()
-	m := machine.New(machine.DefaultT3D(n))
-	m.Run(func(nd *machine.Node) {
-		ep := NewEP(net, nd)
-		for r := 1; r <= 3; r++ {
-			got := ep.AllReduceSum(float64(r))
-			if got != float64(r*n) {
-				t.Errorf("round %d: got %v want %v", r, got, float64(r*n))
-			}
-		}
-	})
-}
-
 func TestServiceDuringBarrier(t *testing.T) {
 	// Node 1 enters the barrier early but must keep serving request
 	// handlers from node 0 that arrive while it waits.

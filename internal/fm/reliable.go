@@ -50,7 +50,7 @@ func (e *HandlerError) Error() string {
 
 func (e *HandlerError) Unwrap() error { return ErrUnknownHandler }
 
-// CollectiveError reports a collective (barrier, all-reduce) that completed
+// CollectiveError reports a collective (the barrier) that completed
 // degraded because peers became unreachable before checking in.
 type CollectiveError struct {
 	Op      string
@@ -295,7 +295,7 @@ func (ep *EP) declareUnreachable(dst, attempts int) {
 }
 
 // pendingTo counts unfinished frames (in flight plus backlogged) toward one
-// destination; the live-set collectives use it to decide whether detection
+// destination; the live-set barrier uses it to decide whether detection
 // traffic is already flowing to a silent peer.
 func (r *relState) pendingTo(dst int) int {
 	d := &r.dest[dst]

@@ -30,7 +30,7 @@ func encodeFaultStats(w *sim.SnapWriter, fs *FaultStats) {
 	w.I64(fs.Probes)
 }
 
-// EncodeSnapshot writes the endpoint's complete messaging state: collective
+// EncodeSnapshot writes the endpoint's complete messaging state: barrier
 // counters (including the live-set arrival tallies), fault counters,
 // recorded degradation errors (as string fingerprints — errors are values,
 // their text is their identity), and the full reliability-protocol state —
@@ -43,17 +43,9 @@ func (ep *EP) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(ep.barrierCount)
 	w.Int(ep.barrierEpoch)
 	w.Int(ep.barrierAt)
-	w.F64(ep.reduceAcc)
-	w.Int(ep.reduceCount)
-	w.F64(ep.reduceResult)
-	w.Bool(ep.reduceDone)
 	w.Bool(ep.liveSet)
-	w.Int(ep.reduceAt)
 	w.Int(len(ep.barrierSeen))
 	for _, v := range ep.barrierSeen {
-		w.Int(v)
-	}
-	for _, v := range ep.reduceSeen {
 		w.Int(v)
 	}
 	encodeFaultStats(w, &ep.fs)

@@ -15,15 +15,16 @@ package fmm
 
 import "math/cmplx"
 
-// maxTerms bounds the expansion order (the paper uses 29).
-const maxTerms = 64
+// MaxTerms bounds the expansion order (the paper uses 29); the operators
+// index a binomial table sized for it.
+const MaxTerms = 64
 
 // binom is a precomputed table of binomial coefficients C(n, k) for
-// n < 2*maxTerms.
-var binom [2 * maxTerms][2 * maxTerms]float64
+// n < 2*MaxTerms.
+var binom [2 * MaxTerms][2 * MaxTerms]float64
 
 func init() {
-	for n := 0; n < 2*maxTerms; n++ {
+	for n := 0; n < 2*MaxTerms; n++ {
 		binom[n][0] = 1
 		for k := 1; k <= n; k++ {
 			binom[n][k] = binom[n-1][k-1] + binom[n-1][k]

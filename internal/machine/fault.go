@@ -68,9 +68,9 @@ func (f *FaultConfig) NeedsReliability() bool {
 }
 
 // CrashActive reports whether the config schedules permanent node crashes.
-// Crash runs additionally switch the fm collectives to live-set tracking so
-// barriers and reductions shrink to the surviving nodes instead of failing
-// wholesale at the first dead peer.
+// Crash runs additionally switch the fm barrier to live-set tracking so it
+// shrinks to the surviving nodes instead of failing wholesale at the first
+// dead peer.
 func (f *FaultConfig) CrashActive() bool {
 	return f.CrashRate > 0 && f.CrashAt > 0
 }

@@ -186,7 +186,7 @@ func TestFaultsOffBitIdentical(t *testing.T) {
 				n.Poll()
 				n.Charge(sim.Compute, 25)
 			}
-			n.WaitMessage()
+			n.WaitMessageUntil(sim.Forever)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -20,9 +20,8 @@ import (
 type Config struct {
 	// Nodes is the number of processing nodes.
 	Nodes int
-	// Torus is the 3D torus shape; the product must be >= Nodes. If zero it
-	// is derived from Nodes.
-	Torus [3]int
+	// torus is the 3D torus shape, derived from Nodes by Validate.
+	torus [3]int
 
 	// ClockHz converts cycles to seconds for reporting (T3D: 150 MHz).
 	ClockHz float64
@@ -124,12 +123,7 @@ func (c *Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("machine: Nodes = %d, must be positive", c.Nodes)
 	}
-	if c.Torus == [3]int{} {
-		c.Torus = deriveTorus(c.Nodes)
-	}
-	if c.Torus[0]*c.Torus[1]*c.Torus[2] < c.Nodes {
-		return fmt.Errorf("machine: torus %v too small for %d nodes", c.Torus, c.Nodes)
-	}
+	c.torus = deriveTorus(c.Nodes)
 	if c.BytesPerCycle <= 0 {
 		return fmt.Errorf("machine: BytesPerCycle must be positive")
 	}
@@ -175,9 +169,9 @@ func (c *Config) Hops(a, b int) int {
 	if a == b {
 		return 0
 	}
-	ax, ay, az := coords(a, c.Torus)
-	bx, by, bz := coords(b, c.Torus)
-	return torusDist(ax, bx, c.Torus[0]) + torusDist(ay, by, c.Torus[1]) + torusDist(az, bz, c.Torus[2])
+	ax, ay, az := coords(a, c.torus)
+	bx, by, bz := coords(b, c.torus)
+	return torusDist(ax, bx, c.torus[0]) + torusDist(ay, by, c.torus[1]) + torusDist(az, bz, c.torus[2])
 }
 
 func coords(n int, t [3]int) (x, y, z int) {
@@ -475,7 +469,7 @@ func (n *Node) send(dst, handler int, payload any, bytes int, control bool) {
 // the engine's scheduling events stay in one-to-one correspondence.
 //
 // The returned slice is the process's reusable drain buffer: it is valid
-// only until the next Poll or WaitMessage on this node. Callers that retain
+// only until the next Poll or WaitMessageUntil on this node. Callers that retain
 // messages across polls must copy them out first.
 func (n *Node) Poll() []sim.Message {
 	c := &n.mach.Cfg
@@ -486,22 +480,13 @@ func (n *Node) Poll() []sim.Message {
 	return ms
 }
 
-// WaitMessage blocks until a message arrives (idle time), then extracts all
-// arrived messages like Poll (including the buffer-reuse rule: the result is
-// valid only until the next Poll or WaitMessage on this node).
-func (n *Node) WaitMessage() []sim.Message {
-	n.maybeStall()
-	ms := n.proc.WaitMessage()
-	c := &n.mach.Cfg
-	n.proc.Charge(sim.PollOv, c.PollCost)
-	n.account(ms)
-	return ms
-}
-
-// WaitMessageUntil is WaitMessage with a virtual-time deadline: it returns
-// no later (in virtual time) than deadline, with an empty result if nothing
-// arrived. The reliability layer bounds its waits with it so retransmission
-// timers fire even when the network has gone silent.
+// WaitMessageUntil blocks until a message arrives (idle time) or the
+// virtual clock reaches deadline, then extracts all arrived messages like
+// Poll (including the buffer-reuse rule: the result is valid only until the
+// next Poll or WaitMessageUntil on this node). On timeout the result is
+// empty. The reliability layer bounds its waits by the next retransmission
+// deadline so timers fire even when the network has gone silent; every
+// other wait passes sim.Forever.
 func (n *Node) WaitMessageUntil(deadline sim.Time) []sim.Message {
 	n.maybeStall()
 	ms := n.proc.WaitMessageUntil(deadline)
@@ -531,9 +516,6 @@ func (n *Node) maybeStall() {
 		n.proc.Charge(sim.Stall, d)
 	}
 }
-
-// HasMessage reports whether a message has arrived, without cost.
-func (n *Node) HasMessage() bool { return n.proc.HasMessage() }
 
 func (n *Node) account(ms []sim.Message) {
 	c := &n.mach.Cfg

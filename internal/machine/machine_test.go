@@ -84,11 +84,6 @@ func TestValidate(t *testing.T) {
 		t.Error("expected error for 0 nodes")
 	}
 	cfg = DefaultT3D(4)
-	cfg.Torus = [3]int{1, 1, 1}
-	if err := cfg.Validate(); err == nil {
-		t.Error("expected error for undersized torus")
-	}
-	cfg = DefaultT3D(4)
 	cfg.BytesPerCycle = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("expected error for zero bandwidth")
@@ -145,7 +140,7 @@ func TestMachineRunWithTuning(t *testing.T) {
 			n.Send(n.ID()+1, 7, nil, 16)
 			return
 		}
-		n.WaitMessage()
+		n.WaitMessageUntil(sim.Forever)
 	}
 	run := func(cfg Config) ([]sim.Time, []sim.WorkerStats, int64) {
 		m := New(cfg)
@@ -205,7 +200,7 @@ func TestParallelEngineMachineRun(t *testing.T) {
 			n.Send(1, 7, nil, 16)
 			return
 		}
-		n.WaitMessage()
+		n.WaitMessageUntil(sim.Forever)
 	}
 	var spans [2]sim.Time
 	var charges [2][sim.NumCategories]sim.Time
@@ -233,7 +228,7 @@ func TestSendReceiveCosts(t *testing.T) {
 			n.Send(1, 7, "payload", 100)
 			sendCharged = n.Charges()[sim.SendOv]
 		} else {
-			ms := n.WaitMessage()
+			ms := n.WaitMessageUntil(sim.Forever)
 			if len(ms) != 1 || ms[0].Handler != 7 || ms[0].Bytes != 100 {
 				t.Errorf("bad receive: %+v", ms)
 			}
@@ -263,7 +258,7 @@ func TestMessageAccounting(t *testing.T) {
 		} else {
 			got := 0
 			for got < 5 {
-				got += len(n.WaitMessage())
+				got += len(n.WaitMessageUntil(sim.Forever))
 			}
 		}
 	})
@@ -381,7 +376,7 @@ func TestTimelineRecordsBins(t *testing.T) {
 			n.Charge(sim.Compute, 250) // bins 0,1,2
 			n.Send(1, 0, nil, 4)
 		} else {
-			n.WaitMessage() // idle until arrival
+			n.WaitMessageUntil(sim.Forever) // idle until arrival
 		}
 	})
 	tl := m.Trace()
@@ -413,7 +408,7 @@ func TestGanttRendering(t *testing.T) {
 			n.Charge(sim.Compute, 1000)
 			n.Send(1, 0, nil, 4)
 		} else {
-			n.WaitMessage()
+			n.WaitMessageUntil(sim.Forever)
 		}
 	})
 	rows := m.Trace().Gantt(20)

@@ -187,22 +187,6 @@ func Morton3D(pos, min [3]float64, size float64) uint64 {
 	return key
 }
 
-// Morton2D returns the 2D Morton key using 16 bits per dimension.
-func Morton2D(pos [3]float64, min [3]float64, size float64) uint64 {
-	var key uint64
-	for d := 0; d < 2; d++ {
-		x := (pos[d] - min[d]) / size
-		if x < 0 {
-			x = 0
-		}
-		if x >= 1 {
-			x = math.Nextafter(1, 0)
-		}
-		key |= spread2(uint32(x*65536)) << uint(d)
-	}
-	return key
-}
-
 // spread3 inserts two zero bits between each of the low 10 bits.
 func spread3(x uint32) uint64 {
 	v := uint64(x) & 0x3ff
@@ -210,16 +194,6 @@ func spread3(x uint32) uint64 {
 	v = (v | v<<8) & 0x300f00f
 	v = (v | v<<4) & 0x30c30c3
 	v = (v | v<<2) & 0x9249249
-	return v
-}
-
-// spread2 inserts one zero bit between each of the low 16 bits.
-func spread2(x uint32) uint64 {
-	v := uint64(x) & 0xffff
-	v = (v | v<<8) & 0x00ff00ff
-	v = (v | v<<4) & 0x0f0f0f0f
-	v = (v | v<<2) & 0x33333333
-	v = (v | v<<1) & 0x55555555
 	return v
 }
 

@@ -35,12 +35,13 @@
 // no earlier than their send time plus a non-negative delay, no process can
 // ever observe a message from its own future under either engine.
 //
-// Processes yield control to the engine only at Poll and WaitMessage. To keep
-// goroutine hand-offs rare, the engine gives each resumed process a horizon:
-// under the sequential engine the smallest wake-up time of any other process,
-// under the parallel engine the current epoch frontier. Until the process's
-// clock crosses the horizon, polling and waiting are serviced locally without
-// a context switch.
+// Processes yield control to the engine only at Poll and WaitMessageUntil
+// (WaitMessage is its form without a deadline). To keep goroutine hand-offs
+// rare, the engine gives each resumed process a horizon: under the
+// sequential engine the smallest wake-up time of any other process, under
+// the parallel engine the current epoch frontier. Until the process's clock
+// crosses the horizon, polling and waiting are serviced locally without a
+// context switch.
 //
 // # Host-performance contract
 //
@@ -450,15 +451,6 @@ func (p *Proc) Poll() []Message {
 	return p.drain()
 }
 
-// HasMessage reports whether a message has already arrived (arrival <= now).
-func (p *Proc) HasMessage() bool {
-	if p.clock >= p.horizon {
-		p.yield(stateReady, p.clock)
-	}
-	a, ok := p.peekMail()
-	return ok && a <= p.clock
-}
-
 // peekMail reads the earliest pending arrival. Under the parallel engine the
 // empty case is answered by the atomic mirror alone (see mailN); only a
 // non-empty mailbox pays for the lock.
@@ -479,29 +471,7 @@ func (p *Proc) peekMail() (Time, bool) {
 // local clock to the arrival time and charging the advance as Idle. It then
 // returns the arrived messages (like Poll, in the same reusable buffer). If
 // a message has already arrived it returns immediately without idling.
-func (p *Proc) WaitMessage() []Message {
-	for {
-		at, ok := p.peekMail()
-		if ok {
-			if at <= p.clock {
-				if p.clock >= p.horizon {
-					p.yield(stateReady, p.clock)
-				}
-				return p.drain()
-			}
-			// The earliest pending message is in our future. If no other
-			// process needs to run before it arrives (sequential), or it is
-			// strictly inside the epoch frontier (parallel), just advance.
-			// The at-horizon relaxation additionally stays below ckBound so
-			// an armed checkpoint captures before any boundary event runs.
-			if at < p.horizon || (!p.strict && at == p.horizon && at < p.ckBound) {
-				p.advanceIdle(at)
-				return p.drain()
-			}
-		}
-		p.yield(stateBlocked, Forever)
-	}
-}
+func (p *Proc) WaitMessage() []Message { return p.WaitMessageUntil(Forever) }
 
 // WaitMessageUntil is WaitMessage with a virtual-time deadline: it blocks
 // until a message has arrived or the local clock reaches deadline, whichever
@@ -532,13 +502,15 @@ func (p *Proc) WaitMessageUntil(deadline Time) []Message {
 		if ok && at < target {
 			target = at
 		}
-		// Local idle-advance mirrors WaitMessage: allowed strictly inside
-		// the horizon, and at an == horizon arrival under the sequential
-		// engine (the message is already in the mailbox, so advancing
-		// cannot reorder anything). A timeout target equal to the horizon
-		// must yield instead — another process may still run at that time.
-		// Like WaitMessage, the relaxation respects an armed checkpoint's
-		// ckBound.
+		// Local idle-advance is allowed strictly inside the horizon, and at
+		// an == horizon arrival under the sequential engine (the message is
+		// already in the mailbox, so advancing cannot reorder anything). A
+		// timeout target equal to the horizon must yield instead — another
+		// process may still run at that time. The at-horizon relaxation
+		// stays below ckBound so an armed checkpoint captures before any
+		// boundary event runs. A blocked yield's wake is lowered to the
+		// earliest arrival (see yield), so an unbounded wait (deadline
+		// Forever) wakes exactly when its first message lands.
 		if target < p.horizon || (!p.strict && ok && at == p.horizon && at <= target && at < p.ckBound) {
 			p.advanceIdle(target)
 			if target == at {
@@ -551,9 +523,9 @@ func (p *Proc) WaitMessageUntil(deadline Time) []Message {
 }
 
 // drain removes and returns all messages with arrival <= clock, reusing the
-// process's drain buffer. The empty-mailbox fast path returns nil under a
-// single lock acquisition (none at all under the sequential engine), so
-// HasMessage → Poll sequences do not pay twice.
+// process's drain buffer. An empty mailbox returns nil without taking the
+// lock: the parallel engine reads the atomic mailbox count, and the
+// sequential engine never locks.
 func (p *Proc) drain() []Message {
 	if p.strict && p.mailN.Load() == 0 {
 		return nil

@@ -281,27 +281,6 @@ func TestCausality(t *testing.T) {
 	e.Run()
 }
 
-func TestHasMessage(t *testing.T) {
-	e := NewEngine()
-	e.Spawn(func(p *Proc) {
-		p.Post(1, Message{Arrival: 50})
-	})
-	e.Spawn(func(p *Proc) {
-		if p.HasMessage() {
-			t.Error("HasMessage true at t=0, arrival is 50")
-		}
-		p.Charge(Compute, 60)
-		if !p.HasMessage() {
-			t.Error("HasMessage false at t=60, arrival was 50")
-		}
-		p.Poll()
-		if p.HasMessage() {
-			t.Error("HasMessage true after drain")
-		}
-	})
-	e.Run()
-}
-
 func TestManyProcsBarrierish(t *testing.T) {
 	// n-1 workers send to proc 0; proc 0 replies to all; everyone finishes.
 	const n = 16

@@ -31,9 +31,11 @@ const snapshotMagic = "DPASNAP1"
 
 // SnapshotVersion is the current snapshot format version. Version 2 dropped
 // the adaptive, shaped-tile and CPMA state from the "rt" section and reduced
-// the "priors" section to per-owner fetch totals; version-1 snapshots are
-// rejected.
-const SnapshotVersion uint32 = 2
+// the "priors" section to per-owner fetch totals. Version 3 dropped the
+// all-reduce state from the "fm" section, and the fm layer's internal
+// handler ids (which frame fingerprints fold in) shifted down by two.
+// Snapshots of any other version are rejected.
+const SnapshotVersion uint32 = 3
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"testing"
 )
@@ -129,13 +130,15 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Fatalf("future version accepted (err=%v)", err)
 		}
 	})
-	t.Run("version-1-valid-crc", func(t *testing.T) {
-		mut := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(mut[8:], 1)
-		if _, err := Restore(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("version-1 snapshot accepted (err=%v)", err)
-		}
-	})
+	for _, old := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("version-%d-valid-crc", old), func(t *testing.T) {
+			mut := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint32(mut[8:], old)
+			if _, err := Restore(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("version-%d snapshot accepted (err=%v)", old, err)
+			}
+		})
+	}
 	t.Run("oversized-section-valid-crc", func(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		// First section's name length field sits right after the fixed

@@ -25,20 +25,6 @@ type Breakdown struct {
 	CacheMisses int64
 }
 
-// Busy returns all non-idle cycles (injected stalls and fetch stalls count
-// as idle: the node does no work while stalled).
-func (b *Breakdown) Busy() sim.Time {
-	var t sim.Time
-	for c, v := range b.Cycles {
-		switch sim.Category(c) {
-		case sim.Idle, sim.Stall, sim.FetchStall:
-		default:
-			t += v
-		}
-	}
-	return t
-}
-
 // CommOverhead returns cycles spent on messaging mechanics.
 func (b *Breakdown) CommOverhead() sim.Time {
 	return b.Cycles[sim.SendOv] + b.Cycles[sim.RecvOv] + b.Cycles[sim.PollOv] + b.Cycles[sim.HandlerOv]
@@ -393,14 +379,6 @@ func (r *Run) MsgsSent() int64 { return r.Total().MsgsSent }
 
 // BytesSent returns total bytes sent across nodes.
 func (r *Run) BytesSent() int64 { return r.Total().BytesSent }
-
-// Summary renders a one-line summary at the given clock rate.
-func (r *Run) Summary(clockHz float64) string {
-	local, comm, idle := r.AvgPerNode()
-	sec := func(t sim.Time) float64 { return float64(t) / clockHz }
-	return fmt.Sprintf("time=%.4fs local=%.4fs comm=%.4fs idle=%.4fs msgs=%d bytes=%d",
-		sec(r.Makespan), sec(local), sec(comm), sec(idle), r.MsgsSent(), r.BytesSent())
-}
 
 // Equal reports whether two runs have identical observable statistics:
 // makespan, every node's breakdown, and the merged runtime counters. The

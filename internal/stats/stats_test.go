@@ -28,9 +28,6 @@ func TestBreakdownCategories(t *testing.T) {
 	if b.CommOverhead() != 14 {
 		t.Errorf("CommOverhead = %d", b.CommOverhead())
 	}
-	if b.Busy() != 132 {
-		t.Errorf("Busy = %d", b.Busy())
-	}
 }
 
 func TestMergeAddsMakespansAndCycles(t *testing.T) {
@@ -176,7 +173,7 @@ func TestCollect(t *testing.T) {
 		if n.ID() == 0 {
 			n.Send(1, 0, nil, 10)
 		} else {
-			n.WaitMessage()
+			n.WaitMessageUntil(sim.Forever)
 		}
 	})
 	r := Collect(m, makespan)
@@ -221,15 +218,5 @@ func TestBarChartEmpty(t *testing.T) {
 	var r Run
 	if got := r.BarChart(10); got != ".........." {
 		t.Errorf("empty bar = %q", got)
-	}
-}
-
-func TestSummaryContainsFields(t *testing.T) {
-	r := Run{Makespan: 150e6, Nodes: make([]Breakdown, 1)}
-	s := r.Summary(150e6)
-	for _, tok := range []string{"time=1.0000s", "msgs=0", "idle"} {
-		if !strings.Contains(s, tok) {
-			t.Errorf("summary %q missing %q", s, tok)
-		}
 	}
 }
